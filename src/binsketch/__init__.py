@@ -32,7 +32,7 @@ from .metrics import (
 )
 # The top-k `search` function itself stays under binsketch.search.search so
 # the submodule name is not shadowed by a function attribute.
-from .search import Repository, SearchResult, batch_search, bench, build
+from .search import SearchResult, SemanticIndex, StructuralIndex, batch_search, bench, build
 from .semantic import WeightConfig, cosine, weight
 from .structural import FeatureHasher, jaccard, labels_to_bitvector
 from .synth import SynthConfig, generate
@@ -51,10 +51,11 @@ __all__ = [
     "ParseError",
     "ProgramRecord",
     "RelevanceJudgment",
-    "Repository",
     "SearchResult",
     "SemanticEmbedding",
+    "SemanticIndex",
     "StructuralEmbedding",
+    "StructuralIndex",
     "SynthConfig",
     "ValidationError",
     "WeightConfig",

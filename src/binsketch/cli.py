@@ -71,7 +71,14 @@ class PipelineConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        return replace(cls(), **raw)
+        defaults = cls()
+        for name, value in raw.items():
+            # JSON has one number type: an int is a valid float, never the reverse.
+            expected = type(getattr(defaults, name))
+            allowed = (int, float) if expected is float else int
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"{path}: {name} must be {expected.__name__}, got {value!r}")
+        return replace(defaults, **raw)
 
 
 def _pick(flag, fallback):
@@ -133,6 +140,8 @@ def cmd_kmeans_train(args, cfg: PipelineConfig) -> int:
     functions = [fn for prog in programs for fn in prog.functions]
     if not functions:
         raise ValidationError(f"{args.corpus}: corpus has no functions to train on")
+    if args.sample < 0:
+        raise ConfigError(f"--sample must be >= 0, got {args.sample}")
     X = np.stack([fn.embedding for fn in functions])
     if args.sample and args.sample < X.shape[0]:
         rng = np.random.default_rng(_pick(args.seed, cfg.seed_kmeans))
@@ -183,12 +192,8 @@ def cmd_hash(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_index_search(args, cfg: PipelineConfig) -> int:
-    repo_kind, repo_entries = load_embeddings(args.repo_emb)
-    query_kind, query_entries = load_embeddings(args.query_emb)
-    if repo_entries and query_entries and repo_kind != query_kind:
-        raise ValidationError(
-            f"embedding kinds differ: repository is {repo_kind}, queries are {query_kind}"
-        )
+    _, repo_entries = load_embeddings(args.repo_emb)
+    _, query_entries = load_embeddings(args.query_emb)
     repo = search.build(repo_entries)
     k = _pick(args.k, cfg.k)
     results = search.batch_search(
@@ -286,17 +291,15 @@ def cmd_loss_check(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_bench(args, cfg: PipelineConfig) -> int:
-    kind, entries = load_embeddings(args.repo_emb)
-    if kind != "structural":
-        raise ValidationError("bench measures structural scoring; pass a structural file")
+    _, entries = load_embeddings(args.repo_emb)
     repo = search.build(entries)
+    if not isinstance(repo, search.StructuralIndex):
+        raise ValidationError("bench measures structural scoring; pass a structural file")
     if args.query_emb:
-        qkind, qentries = load_embeddings(args.query_emb)
-        if qkind != "structural":
-            raise ValidationError("bench queries must be structural")
-        queries = [emb for _, emb in qentries]
+        entries = load_embeddings(args.query_emb)[1]
     else:
-        queries = [emb for _, emb in entries[: args.queries]]
+        entries = entries[: args.queries]
+    queries = [emb for _, emb in entries]
     report = search.bench(repo, queries, rounds=args.rounds)
     _emit(
         [

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,12 +138,12 @@ class StructuralEmbedding:
         return cls.from_bytes(np.packbits(bits, bitorder="little").tobytes(), bits.size)
 
     @classmethod
-    def from_bytes(cls, raw: bytes, m: int) -> "StructuralEmbedding":
+    def from_bytes(cls, raw: bytes | memoryview, m: int) -> "StructuralEmbedding":
         nbytes = (m + 7) // 8
         if len(raw) != nbytes:
             raise FormatError(f"expected {nbytes} bytes for m={m}, got {len(raw)}")
         nwords = (m + 63) // 64
-        padded = raw + b"\x00" * (nwords * 8 - nbytes)
+        padded = bytes(raw) + b"\x00" * (nwords * 8 - nbytes)
         words = np.frombuffer(padded, dtype="<u8").copy()
         pad = m % 64
         if pad:
@@ -222,6 +222,12 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def check_field(value: str, what: str) -> None:
+    """Reject text that would split a tab-separated line."""
+    if "\t" in value or "\n" in value:
+        raise ValidationError(f"{what} {value!r} contains a tab or newline")
+
+
 def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = None) -> None:
     inferred = corpus_dimension(programs)
     if inferred is not None:
@@ -239,12 +245,16 @@ def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = No
         if prog.program_id in seen:
             raise ValidationError(f"duplicate program_id {prog.program_id!r}")
         seen.add(prog.program_id)
+        check_field(prog.program_id, "program id")
+        if prog.class_id is not None:
+            check_field(prog.class_id, "class id")
         if not prog.functions:
             raise ValidationError(
                 f"program {prog.program_id!r} has no functions; "
                 "the corpus format stores one function per line"
             )
         for fn in prog.functions:
+            check_field(fn.function_id, "function id")
             emb = " ".join(_format_float(v) for v in fn.embedding)
             parts = [prog.program_id, fn.function_id, str(fn.loc), str(fn.nos), emb]
             if fn.class_label is not None:
@@ -345,88 +355,98 @@ def load_corpus(path: str) -> list[ProgramRecord]:
     return programs
 
 
-def _write_u32(fh, value: int) -> None:
-    fh.write(struct.pack("<I", value))
+def write_records(
+    path: str,
+    magic: bytes,
+    param: int,
+    entries: Sequence[tuple[str, object]],
+    encode: Callable[[object], bytes],
+) -> None:
+    """Write a fixed-record container.
+
+    The layout is ``magic``, u32 ``param`` (m or d), u64 record count, then
+    per record a u32 length-prefixed UTF-8 id and ``encode(value)``, which
+    must be the same size for every record.
+    """
+    if not 1 <= param < 1 << 32:
+        raise ValidationError(f"{magic.decode()} parameter must be in [1, 2**32), got {param}")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<IQ", param, len(entries)))
+        for pid, value in entries:
+            encoded = pid.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(encode(value))
 
 
-def _write_u64(fh, value: int) -> None:
-    fh.write(struct.pack("<Q", value))
+def read_records(
+    path: str, magic: bytes, payload_size: Callable[[int], int]
+) -> tuple[int, list[str], list[memoryview]]:
+    """Read a container written by :func:`write_records`.
+
+    Returns ``param``, the ids and the payloads of ``payload_size(param)``
+    bytes each, as views into the file buffer (no copy). The record count
+    is checked against the file size before anything is allocated.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(magic):
+        raise FormatError(f"{path}: bad magic, expected {magic!r}")
+    truncated = FormatError(f"{path}: truncated file")
+    pos = len(magic) + 12
+    if len(data) < pos:
+        raise truncated
+    param, count = struct.unpack_from("<IQ", data, len(magic))
+    size = payload_size(param)
+    if count * (4 + size) > len(data) - pos:
+        raise truncated
+    view = memoryview(data)
+    ids: list[str] = []
+    payloads: list[memoryview] = []
+    for left in range(count - 1, -1, -1):
+        # Each record still to come needs at least 4 + size bytes, so the
+        # length prefix at ``pos`` is always inside the file.
+        start = pos + 4
+        end = start + struct.unpack_from("<I", data, pos)[0]
+        pos = end + size
+        if pos + left * (4 + size) > len(data):
+            raise truncated
+        try:
+            ids.append(data[start:end].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: id is not valid UTF-8") from None
+        payloads.append(view[end:pos])
+    if pos != len(data):
+        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
+    return param, ids, payloads
 
 
-class _Reader:
-    """Cursor over an in-memory byte buffer with truncation checks."""
-
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"{self.path}: truncated file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise FormatError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
-
-
-def _read_id(reader: _Reader) -> str:
-    length = reader.u32()
-    try:
-        return reader.take(length).decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{reader.path}: id is not valid UTF-8") from None
+def _shared(entries: Sequence[tuple[str, object]], name: str, value: int | None) -> int:
+    """The ``name`` attribute (m or d) of every entry, or ``value`` if given."""
+    if value is None:
+        if not entries:
+            raise ValidationError(f"cannot infer {name} from an empty entry list; pass {name}")
+        value = getattr(entries[0][1], name)
+    for pid, emb in entries:
+        if getattr(emb, name) != value:
+            raise ValidationError(
+                f"entry {pid!r} has {name}={getattr(emb, name)}, expected {value}"
+            )
+    return value
 
 
 def save_structural(
     entries: Sequence[tuple[str, StructuralEmbedding]], path: str, m: int | None = None
 ) -> None:
-    if entries:
-        if m is None:
-            m = entries[0][1].m
-        for pid, emb in entries:
-            if emb.m != m:
-                raise ValidationError(
-                    f"entry {pid!r} has m={emb.m}, expected {m}"
-                )
-    elif m is None:
-        raise ValidationError("cannot infer m from an empty entry list; pass m")
-    with open(path, "wb") as fh:
-        fh.write(STRUCTURAL_MAGIC)
-        _write_u32(fh, m)
-        _write_u64(fh, len(entries))
-        for pid, emb in entries:
-            encoded = pid.encode("utf-8")
-            _write_u32(fh, len(encoded))
-            fh.write(encoded)
-            fh.write(emb.to_bytes())
+    m = _shared(entries, "m", m)
+    write_records(path, STRUCTURAL_MAGIC, m, entries, StructuralEmbedding.to_bytes)
 
 
 def load_structural(path: str) -> list[tuple[str, StructuralEmbedding]]:
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    if reader.take(len(STRUCTURAL_MAGIC)) != STRUCTURAL_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {STRUCTURAL_MAGIC!r}")
-    m = reader.u32()
+    m, ids, payloads = read_records(path, STRUCTURAL_MAGIC, lambda m: (m + 7) // 8)
     if m < 1:
         raise FormatError(f"{path}: bit-vector length must be >= 1, got {m}")
-    count = reader.u64()
-    nbytes = (m + 7) // 8
-    entries = []
-    for _ in range(count):
-        pid = _read_id(reader)
-        entries.append((pid, StructuralEmbedding.from_bytes(reader.take(nbytes), m)))
-    reader.done()
-    return entries
+    return [(pid, StructuralEmbedding.from_bytes(raw, m)) for pid, raw in zip(ids, payloads)]
 
 
 def load_embeddings(path: str):
@@ -446,41 +466,18 @@ def load_embeddings(path: str):
 def save_semantic(
     entries: Sequence[tuple[str, SemanticEmbedding]], path: str, d: int | None = None
 ) -> None:
-    if entries:
-        if d is None:
-            d = entries[0][1].d
-        for pid, emb in entries:
-            if emb.d != d:
-                raise ValidationError(f"entry {pid!r} has d={emb.d}, expected {d}")
-    elif d is None:
-        raise ValidationError("cannot infer d from an empty entry list; pass d")
-    with open(path, "wb") as fh:
-        fh.write(SEMANTIC_MAGIC)
-        _write_u32(fh, d)
-        _write_u64(fh, len(entries))
-        for pid, emb in entries:
-            encoded = pid.encode("utf-8")
-            _write_u32(fh, len(encoded))
-            fh.write(encoded)
-            fh.write(emb.values.astype("<f4", copy=False).tobytes())
+    d = _shared(entries, "d", d)
+    write_records(
+        path, SEMANTIC_MAGIC, d, entries, lambda emb: emb.values.astype("<f4", copy=False).tobytes()
+    )
 
 
 def load_semantic(path: str) -> list[tuple[str, SemanticEmbedding]]:
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    if reader.take(len(SEMANTIC_MAGIC)) != SEMANTIC_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {SEMANTIC_MAGIC!r}")
-    d = reader.u32()
+    d, ids, payloads = read_records(path, SEMANTIC_MAGIC, lambda d: 4 * d)
     if d < 1:
         raise FormatError(f"{path}: dimension must be >= 1, got {d}")
-    count = reader.u64()
-    entries = []
-    for _ in range(count):
-        pid = _read_id(reader)
-        values = np.frombuffer(reader.take(4 * d), dtype="<f4").copy()
-        if not np.all(np.isfinite(values)):
-            raise FormatError(f"{path}: entry {pid!r} has non-finite values")
-        emb = SemanticEmbedding(values, degenerate=not values.any())
-        entries.append((pid, emb))
-    reader.done()
-    return entries
+    rows = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(ids), d).copy()
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: entry {ids[int(np.argmin(finite))]!r} has non-finite values")
+    return [(pid, SemanticEmbedding(row, degenerate=not row.any())) for pid, row in zip(ids, rows)]

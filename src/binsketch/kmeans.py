@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import _Reader, _write_u32, _write_u64
+from .corpus import read_records, write_records
 from .errors import ConfigError, FormatError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -224,34 +224,23 @@ def save_model(model: CentroidModel, path: str) -> None:
 
     Entry ids are the decimal cluster indices in order.
     """
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        _write_u32(fh, model.d)
-        _write_u64(fh, model.n_clusters)
-        for idx in range(model.n_clusters):
-            encoded = str(idx).encode("ascii")
-            _write_u32(fh, len(encoded))
-            fh.write(encoded)
-            fh.write(model.centroids[idx].astype("<f4", copy=False).tobytes())
+    write_records(
+        path,
+        MODEL_MAGIC,
+        model.d,
+        [(str(idx), row) for idx, row in enumerate(model.centroids)],
+        lambda row: row.astype("<f4", copy=False).tobytes(),
+    )
 
 
 def load_model(path: str) -> CentroidModel:
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    if reader.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {MODEL_MAGIC!r}")
-    d = reader.u32()
+    d, ids, payloads = read_records(path, MODEL_MAGIC, lambda d: 4 * d)
     if d < 1:
         raise FormatError(f"{path}: dimension must be >= 1, got {d}")
-    count = reader.u64()
-    if count < 1:
+    if not ids:
         raise FormatError(f"{path}: model must have at least one centroid")
-    rows = np.empty((count, d), dtype=np.float32)
-    for idx in range(count):
-        length = reader.u32()
-        name = reader.take(length).decode("ascii", errors="replace")
+    for idx, name in enumerate(ids):
         if name != str(idx):
             raise FormatError(f"{path}: centroid {idx} has unexpected id {name!r}")
-        rows[idx] = np.frombuffer(reader.take(4 * d), dtype="<f4")
-    reader.done()
+    rows = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(ids), d)
     return CentroidModel(centroids=rows)

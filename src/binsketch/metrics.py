@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import check_field
 from .errors import ParseError, ValidationError
 
 
@@ -196,6 +197,9 @@ def load_class_map(path: str) -> dict[str, str]:
 
 
 def save_class_map(mapping: Mapping[str, str], path: str) -> None:
+    for pid, cls in mapping.items():
+        check_field(pid, "program id")
+        check_field(cls, "class id")
     lines = [f"{pid}\t{cls}" for pid, cls in mapping.items()]
     with open(path, "wb") as fh:
         payload = "\n".join(lines)

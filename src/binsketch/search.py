@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SemanticEmbedding, StructuralEmbedding
+from .corpus import SemanticEmbedding, StructuralEmbedding, check_field
 from .errors import ConfigError, ParseError, ValidationError
 from .structural import jaccard_many, pack_rows
 
@@ -28,119 +28,106 @@ class Hit:
     score: float
 
 
-@dataclass(eq=False)
+@dataclass
 class SearchResult:
     hits: list[Hit] = field(default_factory=list)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SearchResult):
-            return NotImplemented
-        return self.hits == other.hits
-
 
 @dataclass(eq=False)
-class Repository:
-    """Flat in-memory index over one kind of embedding.
+class StructuralIndex:
+    """Packed uint64 bit-vector rows with their popcounts, scored by Jaccard."""
 
-    ``kind`` is "structural" or "semantic" (None while empty). Structural
-    entries are kept as a packed uint64 matrix with precomputed popcounts;
-    semantic entries as unit-normalized float64 rows (zero vectors stay
-    zero and score 0 against everything).
-    """
-
-    kind: str | None
     program_ids: list[str]
-    ids_array: np.ndarray
-    words: np.ndarray | None = None
-    pops: np.ndarray | None = None
-    m: int | None = None
-    unit: np.ndarray | None = None
-    d: int | None = None
+    words: np.ndarray
+    pops: np.ndarray
+    m: int
 
     def __len__(self) -> int:
         return len(self.program_ids)
 
+    def scores(self, query) -> np.ndarray:
+        if not isinstance(query, StructuralEmbedding):
+            raise ValidationError("embedding kinds differ: structural repository, other query")
+        if query.m != self.m:
+            raise ValidationError(f"query m={query.m} does not match repository m={self.m}")
+        return jaccard_many(query, self.words, self.pops)
 
-def build(entries: Sequence[Entry]) -> Repository:
-    """Index a list of (program_id, embedding) pairs."""
+
+@dataclass(eq=False)
+class SemanticIndex:
+    """Unit-normalized float64 rows, scored by cosine.
+
+    Zero vectors stay zero and score 0 against everything.
+    """
+
+    program_ids: list[str]
+    unit: np.ndarray
+    d: int
+
+    def __len__(self) -> int:
+        return len(self.program_ids)
+
+    def scores(self, query) -> np.ndarray:
+        if not isinstance(query, SemanticEmbedding):
+            raise ValidationError("embedding kinds differ: semantic repository, other query")
+        if query.d != self.d:
+            raise ValidationError(f"query d={query.d} does not match repository d={self.d}")
+        q = query.values.astype(np.float64)
+        norm = np.linalg.norm(q)
+        if norm == 0.0:
+            return np.zeros(len(self), dtype=np.float64)
+        return self.unit @ (q / norm)
+
+
+Index = StructuralIndex | SemanticIndex
+
+
+def build(entries: Sequence[Entry]) -> Index:
+    """Index a list of (program_id, embedding) pairs.
+
+    Rows are stored in ascending program id order, so a stable sort on
+    score alone breaks ties by id. An empty list gives an empty index that
+    answers every query with no hits.
+    """
+    entries = sorted(entries, key=lambda entry: entry[0])
     ids = [pid for pid, _ in entries]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate program_id in repository entries")
-    ids_array = np.array(ids, dtype=np.str_) if ids else np.empty(0, dtype=np.str_)
-    if not entries:
-        return Repository(kind=None, program_ids=[], ids_array=ids_array)
-
-    kinds = {type(emb) for _, emb in entries}
-    if kinds == {StructuralEmbedding}:
-        ms = {emb.m for _, emb in entries}
+    embeddings = [emb for _, emb in entries]
+    kinds = {type(emb) for emb in embeddings}
+    if kinds <= {StructuralEmbedding}:
+        ms = {emb.m for emb in embeddings}
         if len(ms) > 1:
             raise ValidationError(f"mixed bit-vector lengths in repository: {sorted(ms)}")
-        words, pops = pack_rows([emb for _, emb in entries])
-        return Repository(
-            kind="structural",
-            program_ids=ids,
-            ids_array=ids_array,
-            words=words,
-            pops=pops,
-            m=ms.pop(),
-        )
+        words, pops = pack_rows(embeddings)
+        return StructuralIndex(ids, words, pops, m=ms.pop() if ms else 0)
     if kinds == {SemanticEmbedding}:
-        ds = {emb.d for _, emb in entries}
+        ds = {emb.d for emb in embeddings}
         if len(ds) > 1:
             raise ValidationError(f"mixed dimensions in repository: {sorted(ds)}")
-        V = np.stack([emb.values for _, emb in entries]).astype(np.float64)
+        V = np.stack([emb.values for emb in embeddings]).astype(np.float64)
         norms = np.linalg.norm(V, axis=1)
         nonzero = norms > 0.0
         unit = np.divide(
             V, norms[:, np.newaxis], out=np.zeros_like(V), where=nonzero[:, np.newaxis]
         )
-        return Repository(
-            kind="semantic",
-            program_ids=ids,
-            ids_array=ids_array,
-            unit=unit,
-            d=ds.pop(),
-        )
+        return SemanticIndex(ids, unit, d=ds.pop())
     raise ValidationError("repository entries mix structural and semantic embeddings")
 
 
-def _scores(repo: Repository, query) -> np.ndarray:
-    if repo.kind == "structural":
-        if not isinstance(query, StructuralEmbedding):
-            raise ValidationError("structural repository requires a structural query")
-        if query.m != repo.m:
-            raise ValidationError(f"query m={query.m} does not match repository m={repo.m}")
-        return jaccard_many(query, repo.words, repo.pops)
-    if repo.kind == "semantic":
-        if not isinstance(query, SemanticEmbedding):
-            raise ValidationError("semantic repository requires a semantic query")
-        if query.d != repo.d:
-            raise ValidationError(f"query d={query.d} does not match repository d={repo.d}")
-        q = query.values.astype(np.float64)
-        norm = np.linalg.norm(q)
-        if norm == 0.0:
-            return np.zeros(len(repo), dtype=np.float64)
-        return repo.unit @ (q / norm)
-    return np.empty(0, dtype=np.float64)
-
-
-def search(repo: Repository, query, k: int) -> SearchResult:
+def search(repo: Index, query, k: int) -> SearchResult:
     """Top-k entries by score, descending; ties by ascending program id."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if len(repo) == 0:
         return SearchResult()
-    scores = _scores(repo, query)
-    # Two stable passes: secondary key (id) first, primary key (score) second.
-    by_id = np.argsort(repo.ids_array, kind="stable")
-    order = by_id[np.argsort(-scores[by_id], kind="stable")]
-    top = order[:k]
-    hits = [Hit(repo.program_ids[i], float(scores[i])) for i in top]
-    return SearchResult(hits=hits)
+    scores = repo.scores(query)
+    top = np.argsort(-scores, kind="stable")[:k]
+    return SearchResult([Hit(repo.program_ids[i], float(scores[i])) for i in top])
 
 
 def batch_search(
-    repo: Repository, queries: Sequence, k: int, workers: int = 1
+    repo: Index, queries: Sequence, k: int, workers: int = 1
 ) -> list[SearchResult]:
     """Run :func:`search` for each query; output order follows input order.
 
@@ -162,7 +149,7 @@ class BenchReport:
     per_second: float
 
 
-def bench(repo: Repository, queries: Sequence, rounds: int = 1) -> BenchReport:
+def bench(repo: Index, queries: Sequence, rounds: int = 1) -> BenchReport:
     """Time the scoring kernel (no ranking) over all query/entry pairs."""
     if len(repo) == 0 or not queries:
         raise ValidationError("bench needs a non-empty repository and at least one query")
@@ -172,7 +159,7 @@ def bench(repo: Repository, queries: Sequence, rounds: int = 1) -> BenchReport:
     start = time.perf_counter()
     for _ in range(rounds):
         for q in queries:
-            _scores(repo, q)
+            repo.scores(q)
             comparisons += len(repo)
     elapsed = time.perf_counter() - start
     rate = comparisons / elapsed if elapsed > 0 else float("inf")
@@ -180,10 +167,19 @@ def bench(repo: Repository, queries: Sequence, rounds: int = 1) -> BenchReport:
 
 
 def save_results(results: Sequence[tuple[str, SearchResult]], path: str) -> None:
-    """Write ranked hits as query_id, rank, program_id, score rows (6dp)."""
+    """Write ranked hits as query_id, rank, program_id, score rows (6dp).
+
+    Query ids must be unique, and no id may hold a tab or newline.
+    """
     lines = []
+    seen: set[str] = set()
     for query_id, result in results:
+        if query_id in seen:
+            raise ValidationError(f"duplicate query id {query_id!r}")
+        seen.add(query_id)
+        check_field(query_id, "query id")
         for rank, hit in enumerate(result.hits, start=1):
+            check_field(hit.program_id, "program id")
             lines.append(f"{query_id}\t{rank}\t{hit.program_id}\t{hit.score:.6f}")
     with open(path, "wb") as fh:
         payload = "\n".join(lines)

@@ -6,8 +6,13 @@ and programs are compared by Jaccard similarity over those bit-vectors.
 
 The hash family is the splitmix64 finalizer applied to the label XORed
 with a per-role seed: one seed picks the bucket, the other the sign.
-Opposite-signed labels landing in the same bucket cancel, which is what
-keeps the expected bit density near one half.
+Each distinct label adds its sign to its bucket and a bit is set where the
+sum is non-zero, so opposite-signed labels that collide cancel. A sketch
+thus has at most one set bit per distinct label, and its density is about
+(distinct labels) / m, not one half: a mean of 145 set bits (0.22%) for
+150-function programs at m = 2**16, and about 10 bits for programs of 4 to
+64 functions. At these densities buckets rarely collide, so cancellation
+rarely changes a sketch.
 """
 
 from __future__ import annotations

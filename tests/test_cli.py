@@ -349,6 +349,31 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
 
+    def test_negative_sample_is_usage_error(self, pipeline_dir, capsys):
+        code, _, err = run_cli(
+            capsys, "kmeans-train",
+            "--corpus", str(pipeline_dir / "repo.tsv"),
+            "--sample", "-5",
+            "--out", str(pipeline_dir / "m.km"),
+        )
+        assert code == 2
+        assert err.splitlines() == ["error: --sample must be >= 0, got -5"]
+
+    def test_model_with_huge_record_count_is_usage_error(self, pipeline_dir, capsys):
+        bad = pipeline_dir / "bad.km"
+        raw = bytearray((pipeline_dir / "model.km").read_bytes())
+        raw[9:17] = (1 << 40).to_bytes(8, "little")
+        bad.write_bytes(bytes(raw))
+        code, _, err = run_cli(
+            capsys, "hash",
+            "--corpus", str(pipeline_dir / "repo.tsv"),
+            "--mode", "stru", "--model", str(bad),
+            "--out", str(pipeline_dir / "x.stru"),
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "truncated" in err
+
     def test_n_clusters_exceeding_corpus(self, pipeline_dir, capsys):
         code, _, err = run_cli(
             capsys, "kmeans-train",
@@ -379,6 +404,37 @@ class TestConfigFile:
             "--results", str(results), "--class-map", str(classes), "--k", "1",
         )
         assert parse_report(out)["k"] == "1"
+
+    @pytest.mark.parametrize(
+        "body", [{"k": "7"}, {"k": True}, {"k": 7.0}, {"alpha1": "0.4"}, {"beta2": False}]
+    )
+    def test_wrong_json_type_is_usage_error(self, pipeline_dir, capsys, body):
+        cfg = pipeline_dir / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        code, _, err = run_cli(
+            capsys, "--config", str(cfg), "index-search",
+            "--repo-emb", str(pipeline_dir / "repo.stru"),
+            "--query-emb", str(pipeline_dir / "query.stru"),
+            "--out", str(pipeline_dir / "x.tsv"),
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "must be" in err
+
+    def test_int_accepted_for_float_field(self, pipeline_dir, capsys):
+        outputs = []
+        for value in (1, 1.0):
+            cfg = pipeline_dir / "cfg.json"
+            cfg.write_text(json.dumps({"alpha1": value}))
+            out = pipeline_dir / f"alpha1_{value!r}.sem"
+            code, _, err = run_cli(
+                capsys, "--config", str(cfg), "hash",
+                "--corpus", str(pipeline_dir / "repo.tsv"), "--mode", "sem",
+                "--out", str(out),
+            )
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

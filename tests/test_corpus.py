@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from binsketch.corpus import (
     save_structural,
 )
 from binsketch.errors import FormatError, ParseError, ValidationError
+from binsketch.kmeans import load_model
 
 from conftest import make_corpus, make_program
 
@@ -250,6 +253,17 @@ class TestBinaryContainers:
         bad.write_bytes(b"WHATEVER")
         with pytest.raises(FormatError):
             load_embeddings(str(bad))
+
+
+@pytest.mark.parametrize(
+    "magic, load",
+    [(b"KHSTRU1", load_structural), (b"KHSEM1", load_semantic), (b"KHKM1", load_model)],
+)
+def test_record_count_beyond_file_size_is_truncation(tmp_path, magic, load):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(magic + struct.pack("<IQ", 32, 1 << 40) + b"\x00" * 64)
+    with pytest.raises(FormatError, match="truncated"):
+        load(str(path))
 
 
 @settings(max_examples=25, deadline=None)
