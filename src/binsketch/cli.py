@@ -142,15 +142,18 @@ def cmd_kmeans_train(args, cfg: PipelineConfig) -> int:
         raise ValidationError(f"{args.corpus}: corpus has no functions to train on")
     if args.sample < 0:
         raise ConfigError(f"--sample must be >= 0, got {args.sample}")
+    seed = _pick(args.seed, cfg.seed_kmeans)
+    if seed < 0:
+        raise ConfigError(f"--seed (or seed_kmeans) must be >= 0, got {seed}")
     X = np.stack([fn.embedding for fn in functions])
     if args.sample and args.sample < X.shape[0]:
-        rng = np.random.default_rng(_pick(args.seed, cfg.seed_kmeans))
+        rng = np.random.default_rng(seed)
         X = X[rng.choice(X.shape[0], size=args.sample, replace=False)]
     model = kmeans.train(
         X,
         n_clusters=_pick(args.n_clusters, cfg.n_clusters),
         iterations=_pick(args.iterations, cfg.iterations),
-        seed=_pick(args.seed, cfg.seed_kmeans),
+        seed=seed,
     )
     kmeans.save_model(model, args.out)
     _emit(
@@ -268,6 +271,8 @@ def cmd_match_eval(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_loss_check(args, cfg: PipelineConfig) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     batch = contrastive.PairedBatch(
         source=rng.standard_normal((args.n, args.d)),
@@ -291,6 +296,8 @@ def cmd_loss_check(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_bench(args, cfg: PipelineConfig) -> int:
+    if args.queries < 1:
+        raise ConfigError(f"--queries must be >= 1, got {args.queries}")
     _, entries = load_embeddings(args.repo_emb)
     repo = search.build(entries)
     if not isinstance(repo, search.StructuralIndex):

@@ -222,10 +222,22 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def encode_id(value: str, what: str) -> bytes:
+    """UTF-8 bytes of an id; a lone surrogate has none and is rejected."""
+    try:
+        return value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(
+            f"{what} {value!r} holds a lone surrogate, which UTF-8 cannot encode"
+        ) from None
+
+
 def check_field(value: str, what: str) -> None:
-    """Reject text that would split a tab-separated line."""
+    """Reject text that would split a tab-separated line or has no UTF-8 form."""
     if "\t" in value or "\n" in value:
         raise ValidationError(f"{what} {value!r} contains a tab or newline")
+    if not value.isascii():
+        encode_id(value, what)
 
 
 def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = None) -> None:
@@ -262,8 +274,9 @@ def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = No
             if prog.class_id is not None:
                 parts.append(f"class_id={prog.class_id}")
             lines.append("\t".join(parts))
+    payload = "\n".join(lines).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
-        fh.write("\n".join(lines).encode("utf-8") + b"\n")
+        fh.write(payload)
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
@@ -370,10 +383,10 @@ def write_records(
     """
     if not 1 <= param < 1 << 32:
         raise ValidationError(f"{magic.decode()} parameter must be in [1, 2**32), got {param}")
+    ids = [encode_id(pid, "id") for pid, _ in entries]
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<IQ", param, len(entries)))
-        for pid, value in entries:
-            encoded = pid.encode("utf-8")
+        for encoded, (_, value) in zip(ids, entries):
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
             fh.write(encode(value))

@@ -143,6 +143,8 @@ def train(
         raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     X = _check_matrix(embeddings, "training embeddings")
     if X.shape[0] == 0:
         raise ValidationError("training set is empty")

@@ -201,9 +201,9 @@ def save_class_map(mapping: Mapping[str, str], path: str) -> None:
         check_field(pid, "program id")
         check_field(cls, "class id")
     lines = [f"{pid}\t{cls}" for pid, cls in mapping.items()]
+    payload = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
     with open(path, "wb") as fh:
-        payload = "\n".join(lines)
-        fh.write((payload + "\n").encode("utf-8") if lines else b"")
+        fh.write(payload)
 
 
 def format_report(values: Mapping[str, float | int | str]) -> str:

@@ -1,9 +1,20 @@
 """Exact top-k similarity search over program embeddings.
 
-The index is a flat scan: every query is scored against every repository
-entry (Jaccard for structural bit-vectors, cosine for semantic vectors)
-and the top k survive. No approximation, no pruning; ranking ties break
-toward the lexicographically smaller program id so results are stable.
+Every query is scored against every repository entry (Jaccard for
+structural bit-vectors, cosine for semantic vectors) and the top k
+survive; ranking ties break toward the lexicographically smaller program
+id, so results are stable. No approximation.
+
+A structural index picks its Jaccard kernel once, when it is built. If the
+repository holds fewer set bits in total than it has packed words, it keeps
+per-bit posting lists and counts each row's intersection with a query from
+the postings of the query's set bits: a query's postings never hold more
+entries than the whole index, so this never reads more entries than the
+dense scan reads words. Otherwise (dense rows) it keeps the packed words
+and scans them with AND and popcount. Both kernels count the same integers
+and turn them into scores with the same float64 division, so the choice
+never changes a score or a rank; rows that share no bit with the query
+simply score 0 (or 1.0 when both are empty).
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ import numpy as np
 
 from .corpus import SemanticEmbedding, StructuralEmbedding, check_field
 from .errors import ConfigError, ParseError, ValidationError
-from .structural import jaccard_many, pack_rows
+from .structural import Postings, build_postings, jaccard_many, pack_rows
 
 Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
 
@@ -35,10 +46,15 @@ class SearchResult:
 
 @dataclass(eq=False)
 class StructuralIndex:
-    """Packed uint64 bit-vector rows with their popcounts, scored by Jaccard."""
+    """Bit-vector rows scored by Jaccard.
+
+    ``rows`` holds either the packed (N, words) uint64 matrix or its
+    :class:`~binsketch.structural.Postings`, as :func:`build` chose;
+    ``pops`` holds the per-row popcounts.
+    """
 
     program_ids: list[str]
-    words: np.ndarray
+    rows: np.ndarray | Postings
     pops: np.ndarray
     m: int
 
@@ -50,7 +66,7 @@ class StructuralIndex:
             raise ValidationError("embedding kinds differ: structural repository, other query")
         if query.m != self.m:
             raise ValidationError(f"query m={query.m} does not match repository m={self.m}")
-        return jaccard_many(query, self.words, self.pops)
+        return jaccard_many(query, self.rows, self.pops)
 
 
 @dataclass(eq=False)
@@ -86,8 +102,10 @@ def build(entries: Sequence[Entry]) -> Index:
     """Index a list of (program_id, embedding) pairs.
 
     Rows are stored in ascending program id order, so a stable sort on
-    score alone breaks ties by id. An empty list gives an empty index that
-    answers every query with no hits.
+    score alone breaks ties by id. A structural index keeps posting lists
+    when its rows hold fewer set bits than packed words, and the packed
+    words otherwise. An empty list gives an empty index that answers every
+    query with no hits.
     """
     entries = sorted(entries, key=lambda entry: entry[0])
     ids = [pid for pid, _ in entries]
@@ -99,8 +117,13 @@ def build(entries: Sequence[Entry]) -> Index:
         ms = {emb.m for emb in embeddings}
         if len(ms) > 1:
             raise ValidationError(f"mixed bit-vector lengths in repository: {sorted(ms)}")
+        m = ms.pop() if ms else 0
         words, pops = pack_rows(embeddings)
-        return StructuralIndex(ids, words, pops, m=ms.pop() if ms else 0)
+        # A query's postings are a subset of the index's, so with fewer set
+        # bits than packed words the sparse kernel never reads more posting
+        # entries than the dense scan reads words.
+        rows = build_postings(words, m) if pops.sum() < words.size else words
+        return StructuralIndex(ids, rows, pops, m)
     if kinds == {SemanticEmbedding}:
         ds = {emb.d for emb in embeddings}
         if len(ds) > 1:
@@ -169,7 +192,8 @@ def bench(repo: Index, queries: Sequence, rounds: int = 1) -> BenchReport:
 def save_results(results: Sequence[tuple[str, SearchResult]], path: str) -> None:
     """Write ranked hits as query_id, rank, program_id, score rows (6dp).
 
-    Query ids must be unique, and no id may hold a tab or newline.
+    Query ids must be unique, and no id may hold a tab, a newline or a lone
+    surrogate. Nothing is written unless every id passes.
     """
     lines = []
     seen: set[str] = set()
@@ -181,9 +205,9 @@ def save_results(results: Sequence[tuple[str, SearchResult]], path: str) -> None
         for rank, hit in enumerate(result.hits, start=1):
             check_field(hit.program_id, "program id")
             lines.append(f"{query_id}\t{rank}\t{hit.program_id}\t{hit.score:.6f}")
+    payload = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
     with open(path, "wb") as fh:
-        payload = "\n".join(lines)
-        fh.write((payload + "\n").encode("utf-8") if lines else b"")
+        fh.write(payload)
 
 
 def load_results(path: str) -> list[tuple[str, list[tuple[str, float]]]]:

@@ -12,6 +12,7 @@ cosine, which ignores the length anyway.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class WeightConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("alpha1", "alpha2", "beta1", "beta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha2 <= 0 or self.beta2 <= 0:
             raise ConfigError("alpha2 and beta2 must be > 0")
         if self.alpha1 < 0 or self.beta1 < 0:

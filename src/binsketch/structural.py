@@ -125,17 +125,78 @@ def jaccard(a: StructuralEmbedding, b: StructuralEmbedding) -> float:
     return inter / union
 
 
-def jaccard_many(
-    query: StructuralEmbedding, words: np.ndarray, pops: np.ndarray
-) -> np.ndarray:
-    """Jaccard of one query against a packed (N, words) matrix.
+@dataclass(frozen=True)
+class Postings:
+    """Posting lists of a packed (N, words) matrix in CSR form.
 
-    ``pops`` must hold the per-row popcounts of ``words``; the union then
-    needs no second popcount pass: |a|b| = |a| + |b| - |a&b|.
+    The rows with bit ``b`` set are ``rows[offsets[b]:offsets[b + 1]]``, as
+    int32 row ids in ascending order; ``n_rows`` is N.
     """
-    if words.size == 0:
+
+    offsets: np.ndarray
+    rows: np.ndarray
+    n_rows: int
+
+    def intersections(self, query_words: np.ndarray) -> np.ndarray:
+        """|q & row| for every row (int64), from the postings of q's set bits."""
+        _, bits = set_bits(query_words[np.newaxis, :])
+        starts = self.offsets[bits]
+        lengths = self.offsets[bits + 1] - starts
+        # Index of every entry of the concatenated posting slices: entry t
+        # of slice j sits at starts[j] + (t - entries before slice j).
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        hits = self.rows[np.arange(shift.size) + shift]
+        return np.bincount(hits, minlength=self.n_rows)
+
+
+def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and bit position of every set bit of a packed (N, words) matrix.
+
+    Only the non-zero words are visited: each round records the lowest set
+    bit of every word still non-zero and clears it, so no (N, m) bit matrix
+    is unpacked and a round costs one pass over the words left.
+    """
+    row, col = np.nonzero(words)
+    vals = words[row, col]
+    base = col.astype(np.int64) << 6
+    one = np.uint64(1)
+    rows, positions = [row[:0]], [base[:0]]
+    while vals.size:
+        rows.append(row)
+        positions.append(base + np.bitwise_count((vals & (~vals + one)) - one))
+        vals = vals & (vals - one)
+        keep = np.flatnonzero(vals)
+        row, base, vals = row[keep], base[keep], vals[keep]
+    return np.concatenate(rows), np.concatenate(positions)
+
+
+def build_postings(words: np.ndarray, m: int) -> Postings:
+    """Invert a packed (N, words) matrix into per-bit posting lists."""
+    row, pos = set_bits(words)
+    order = np.lexsort((row, pos))
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pos, minlength=m), out=offsets[1:])
+    return Postings(offsets, row[order].astype(np.int32), n_rows=words.shape[0])
+
+
+def jaccard_many(
+    query: StructuralEmbedding, rows: np.ndarray | Postings, pops: np.ndarray
+) -> np.ndarray:
+    """Jaccard of one query against N rows.
+
+    ``rows`` is either the packed (N, words) matrix, scanned with an AND
+    and a popcount per word, or the :class:`Postings` of that matrix,
+    which counts each row's intersection from the postings of the query's
+    set bits. Both count the same integers, so they give the same float64
+    scores bit for bit. ``pops`` must hold the per-row popcounts; the union
+    then needs no second pass: |a|b| = |a| + |b| - |a&b|.
+    """
+    if len(pops) == 0:
         return np.empty(0, dtype=np.float64)
-    inter = np.bitwise_count(words & query.words[np.newaxis, :]).sum(axis=1, dtype=np.int64)
+    if isinstance(rows, Postings):
+        inter = rows.intersections(query.words)
+    else:
+        inter = np.bitwise_count(rows & query.words[np.newaxis, :]).sum(axis=1, dtype=np.int64)
     union = pops + query.popcount() - inter
     return np.where(union == 0, 1.0, inter / np.maximum(union, 1))
 

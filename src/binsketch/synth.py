@@ -133,6 +133,8 @@ def generate(cfg: SynthConfig, seed: int = 0) -> tuple[list[ProgramRecord], list
     Function ``class_label`` fields carry the ground-truth base identity
     and program ``class_id`` fields the clone class.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     shared = _make_pool(
         rng, cfg.shared_count, cfg.d, 0, cfg.shared_loc, cfg.shared_nos

@@ -294,6 +294,17 @@ class TestBench:
         assert code == 2
         assert "structural" in err
 
+    @pytest.mark.parametrize("queries", ["-1", "0"])
+    def test_query_count_below_one_is_usage_error(self, pipeline_dir, capsys, queries):
+        # entries[:-1] would silently bench all entries but the last.
+        code, out, err = run_cli(
+            capsys, "bench",
+            "--repo-emb", str(pipeline_dir / "repo.stru"), "--queries", queries,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --queries must be >= 1, got {queries}"]
+
 
 class TestExitCodes:
     def test_stru_without_model_is_usage_error(self, pipeline_dir, capsys):
@@ -358,6 +369,46 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.splitlines() == ["error: --sample must be >= 0, got -5"]
+
+    @pytest.mark.parametrize("config", [None, {"seed_kmeans": -1}])
+    def test_negative_kmeans_seed_is_usage_error(self, pipeline_dir, capsys, config):
+        argv = ["kmeans-train", "--corpus", str(pipeline_dir / "repo.tsv"),
+                "--sample", "10", "--out", str(pipeline_dir / "m.km")]
+        if config is None:
+            argv += ["--seed", "-1"]
+        else:
+            cfg = pipeline_dir / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg), *argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.splitlines() == ["error: --seed (or seed_kmeans) must be >= 0, got -1"]
+        assert not (pipeline_dir / "m.km").exists()
+
+    def test_negative_synth_seed_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "synth",
+            "--classes", "2", "--programs-per-class", "1", "--seed", "-3",
+            "--out-repo", str(tmp_path / "r.tsv"),
+            "--out-query", str(tmp_path / "q.tsv"),
+        )
+        assert code == 2
+        assert err.splitlines() == ["error: seed must be >= 0, got -3"]
+
+    def test_negative_loss_check_seed_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "loss-check", "--seed", "-1")
+        assert code == 2
+        assert err.splitlines() == ["error: --seed must be >= 0, got -1"]
+
+    @pytest.mark.parametrize("flag", ["--alpha1", "--alpha2", "--beta1", "--beta2"])
+    def test_non_finite_weight_names_its_parameter(self, pipeline_dir, capsys, flag):
+        code, _, err = run_cli(
+            capsys, "hash",
+            "--corpus", str(pipeline_dir / "repo.tsv"), "--mode", "sem",
+            flag, "nan", "--out", str(pipeline_dir / "x.sem"),
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: {flag[2:]} must be finite, got nan"]
 
     def test_model_with_huge_record_count_is_usage_error(self, pipeline_dir, capsys):
         bad = pipeline_dir / "bad.km"

@@ -1,10 +1,13 @@
 """Writers never produce a file their own reader rejects.
 
-For arbitrary text ids, every writer either raises ValidationError or
-writes a file from which its reader returns exactly what was written. The
-tab-separated files cannot hold a tab or newline inside an id; the binary
-containers store ids length-prefixed and hold any text.
+For arbitrary text ids, every writer either raises ValidationError and
+leaves no file behind, or writes a file from which its reader returns
+exactly what was written. No file can hold a lone surrogate, which has no
+UTF-8 form; the tab-separated files also cannot hold a tab or newline
+inside an id, while the binary containers store ids length-prefixed.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -27,22 +30,28 @@ from binsketch.errors import ValidationError
 from binsketch.metrics import load_class_map, save_class_map
 from binsketch.search import Hit, SearchResult, load_results, save_results
 
-# Arbitrary text, with the two TSV separators drawn often enough to matter.
-IDS = st.text(st.one_of(st.sampled_from("\t\n"), st.characters()), max_size=6)
+# Arbitrary text, with the two TSV separators and lone surrogates drawn
+# often enough to matter.
+IDS = st.text(st.one_of(st.sampled_from("\t\n\ud800\udfff"), st.characters()), max_size=6)
+
+
+def _unencodable(*ids):
+    return any(0xD800 <= ord(c) <= 0xDFFF for i in ids for c in i)
 
 
 def _splits(*ids):
-    return any("\t" in i or "\n" in i for i in ids)
+    return _unencodable(*ids) or any("\t" in i or "\n" in i for i in ids)
 
 
-def _writes_or_rejects(save, load, expected, bad):
+def _writes_or_rejects(path, save, load, expected, bad):
     try:
-        save()
+        save(path)
     except ValidationError:
         assert bad
+        assert not os.path.exists(path)
     else:
         assert not bad
-        assert load() == expected
+        assert load(path) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,19 +67,32 @@ def test_writers_reject_or_round_trip(tmp_path_factory, data):
         programs.append(ProgramRecord(pid, functions, class_id=data.draw(st.none() | IDS)))
     names = [n for p in programs for n in (p.program_id, p.class_id or "")]
     names += [fn.function_id for p in programs for fn in p.functions]
-    tsv = str(tmp / "corpus.tsv")
     _writes_or_rejects(
-        lambda: save_corpus(programs, tsv), lambda: load_corpus(tsv), programs, _splits(*names)
+        str(tmp / "corpus.tsv"),
+        lambda path: save_corpus(programs, path),
+        load_corpus,
+        programs,
+        _splits(*names),
     )
 
     m = data.draw(st.integers(1, 70))
     stru = [(pid, StructuralEmbedding.from_bits(np.arange(m) % 3 == 0)) for pid in ids]
-    save_structural(stru, str(tmp / "x.stru"), m=m)
-    assert load_structural(str(tmp / "x.stru")) == stru
+    _writes_or_rejects(
+        str(tmp / "x.stru"),
+        lambda path: save_structural(stru, path, m=m),
+        load_structural,
+        stru,
+        _unencodable(*ids),
+    )
 
     sem = [(pid, SemanticEmbedding(np.array([1.5, -2.0], dtype=np.float32))) for pid in ids]
-    save_semantic(sem, str(tmp / "x.sem"), d=2)
-    assert load_semantic(str(tmp / "x.sem")) == sem
+    _writes_or_rejects(
+        str(tmp / "x.sem"),
+        lambda path: save_semantic(sem, path, d=2),
+        load_semantic,
+        sem,
+        _unencodable(*ids),
+    )
 
     hits = [Hit(pid, score) for pid, score in zip(ids, [1.0, 0.5, 1 / 3, 0.0])]
     results = [(qid, SearchResult(hits[: i % 3])) for i, qid in enumerate(ids)]
@@ -79,19 +101,19 @@ def test_writers_reject_or_round_trip(tmp_path_factory, data):
         for qid, res in results
         if res.hits
     ]
-    hits_path = str(tmp / "hits.tsv")
     _writes_or_rejects(
-        lambda: save_results(results, hits_path),
-        lambda: load_results(hits_path),
+        str(tmp / "hits.tsv"),
+        lambda path: save_results(results, path),
+        load_results,
         expected,
         _splits(*ids) or len(set(ids)) < len(ids),
     )
 
     mapping = dict(zip(ids, data.draw(st.lists(IDS, min_size=len(ids), max_size=len(ids)))))
-    classes = str(tmp / "classes.tsv")
     _writes_or_rejects(
-        lambda: save_class_map(mapping, classes),
-        lambda: load_class_map(classes),
+        str(tmp / "classes.tsv"),
+        lambda path: save_class_map(mapping, path),
+        load_class_map,
         mapping,
         _splits(*mapping, *mapping.values()),
     )
@@ -111,3 +133,24 @@ def test_writers_reject_or_round_trip(tmp_path_factory, data):
 def test_separator_in_id_rejected(tmp_path, save):
     with pytest.raises(ValidationError, match="tab or newline"):
         save(str(tmp_path / "out.tsv"))
+
+
+@pytest.mark.parametrize(
+    "save",
+    [
+        lambda path: save_corpus(
+            [ProgramRecord("a\ud800", [FunctionRecord("f", np.ones(2), loc=1, nos=0)])], path
+        ),
+        lambda path: save_class_map({"a": "c\ud800"}, path),
+        lambda path: save_results([("q", SearchResult([Hit("a\ud800", 1.0)]))], path),
+        lambda path: save_structural(
+            [("a\ud800", StructuralEmbedding.from_bits([1, 0]))], path
+        ),
+    ],
+    ids=["corpus", "class_map", "results", "structural"],
+)
+def test_lone_surrogate_in_id_rejected_before_writing(tmp_path, save):
+    path = tmp_path / "out"
+    with pytest.raises(ValidationError, match="lone surrogate"):
+        save(str(path))
+    assert not path.exists()

@@ -28,6 +28,12 @@ class TestWeightConfig:
         with pytest.raises(ConfigError):
             WeightConfig(alpha1=-0.1)
 
+    @pytest.mark.parametrize("name", ["alpha1", "alpha2", "beta1", "beta2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            WeightConfig(**{name: value})
+
 
 class TestWeight:
     def test_hand_values(self):
