@@ -22,12 +22,12 @@ import numpy as np
 
 from . import contrastive, kmeans, metrics, search, semantic, structural, synth
 from .corpus import (
-    corpus_dimension,
     load_corpus,
     load_embeddings,
     save_corpus,
     save_semantic,
     save_structural,
+    stack_embeddings,
 )
 from .errors import BinsketchError, ConfigError, FormatError, ValidationError
 
@@ -136,16 +136,14 @@ def cmd_synth(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_kmeans_train(args, cfg: PipelineConfig) -> int:
-    programs = load_corpus(args.corpus)
-    functions = [fn for prog in programs for fn in prog.functions]
-    if not functions:
+    X, _ = stack_embeddings(load_corpus(args.corpus))
+    if not X.shape[0]:
         raise ValidationError(f"{args.corpus}: corpus has no functions to train on")
     if args.sample < 0:
         raise ConfigError(f"--sample must be >= 0, got {args.sample}")
     seed = _pick(args.seed, cfg.seed_kmeans)
     if seed < 0:
         raise ConfigError(f"--seed (or seed_kmeans) must be >= 0, got {seed}")
-    X = np.stack([fn.embedding for fn in functions])
     if args.sample and args.sample < X.shape[0]:
         rng = np.random.default_rng(seed)
         X = X[rng.choice(X.shape[0], size=args.sample, replace=False)]
@@ -170,27 +168,20 @@ def cmd_kmeans_train(args, cfg: PipelineConfig) -> int:
 
 def cmd_hash(args, cfg: PipelineConfig) -> int:
     programs = load_corpus(args.corpus)
+    ids = [prog.program_id for prog in programs]
     if args.mode == "stru":
         if not args.model:
             raise ConfigError("--mode stru requires --model")
         model = kmeans.load_model(args.model)
         hasher = _hasher(args, cfg)
-        entries = [
-            (prog.program_id, structural.hash_program(prog, model, hasher))
-            for prog in programs
-        ]
-        save_structural(entries, args.out, m=hasher.m)
+        sketches = structural.hash_programs(programs, model, hasher)
+        save_structural(list(zip(ids, sketches)), args.out, m=hasher.m)
     else:
-        wcfg = _weight_config(args, cfg, _WEIGHT_MODES[args.mode])
-        d = corpus_dimension(programs)
-        if d is None:
+        if not programs:
             raise ValidationError(f"{args.corpus}: corpus has no functions to pool")
-        entries = [
-            (prog.program_id, semantic.hash_program(prog, wcfg, d=d))
-            for prog in programs
-        ]
-        save_semantic(entries, args.out, d=d)
-    _emit([("programs", len(entries)), ("mode", args.mode)])
+        wcfg = _weight_config(args, cfg, _WEIGHT_MODES[args.mode])
+        save_semantic(list(zip(ids, semantic.hash_programs(programs, wcfg))), args.out)
+    _emit([("programs", len(ids)), ("mode", args.mode)])
     return 0
 
 
@@ -236,20 +227,15 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
 def _labeled_functions(corpus_path: str, model: kmeans.CentroidModel):
     programs = load_corpus(corpus_path)
-    functions = [fn for prog in programs for fn in prog.functions]
-    if not functions:
+    X, _ = stack_embeddings(programs)
+    if not X.shape[0]:
         raise ValidationError(f"{corpus_path}: corpus has no functions")
-    missing = sum(1 for fn in functions if fn.class_label is None)
-    if missing:
+    truth = [fn.class_label for prog in programs for fn in prog.functions]
+    if None in truth:
         raise ValidationError(
-            f"{corpus_path}: {missing} functions lack the ground-truth class_label"
+            f"{corpus_path}: {truth.count(None)} functions lack the ground-truth class_label"
         )
-    X = np.stack([fn.embedding for fn in functions])
-    assignment = kmeans.classify(model, X)
-    return [
-        (int(label), fn.class_label)
-        for label, fn in zip(assignment.labels, functions)
-    ]
+    return list(zip(kmeans.classify(model, X).labels.tolist(), truth))
 
 
 def cmd_match_eval(args, cfg: PipelineConfig) -> int:

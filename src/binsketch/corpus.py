@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class FunctionRecord:
                 f"function {self.function_id!r}: embedding must be 1-D, "
                 f"got shape {self.embedding.shape}"
             )
-        if not np.all(np.isfinite(self.embedding)):
+        if not np.isfinite(self.embedding).all():
             raise ValidationError(
                 f"function {self.function_id!r}: embedding has non-finite values"
             )
@@ -185,7 +185,7 @@ class SemanticEmbedding:
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValidationError("semantic embedding must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValidationError("semantic embedding has non-finite values")
 
     @property
@@ -198,22 +198,39 @@ class SemanticEmbedding:
         return np.array_equal(self.values, other.values)
 
 
-def iter_functions(programs: Iterable[ProgramRecord]) -> Iterator[FunctionRecord]:
-    for prog in programs:
-        yield from prog.functions
+def stack_embeddings(programs: Sequence[ProgramRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Every function embedding as one (F, d) float64 matrix, in corpus order
+    ((0, 0) if there is none), and each program's function count."""
+    sizes = np.fromiter((len(p.functions) for p in programs), dtype=np.int64, count=len(programs))
+    functions = [fn for prog in programs for fn in prog.functions]
+    if not functions:
+        return np.empty((0, 0)), sizes
+    try:
+        return np.stack([fn.embedding for fn in functions]), sizes
+    except ValueError:
+        bad = next(fn for fn in functions if fn.d != functions[0].d)
+        raise ValidationError(
+            f"function {bad.function_id!r} has dimension {bad.d}, but the corpus mixes "
+            f"dimensions (the first function has {functions[0].d})"
+        ) from None
 
 
-def corpus_dimension(programs: Iterable[ProgramRecord]) -> int | None:
-    """Embedding dimension shared by every function, or None if empty."""
-    d = None
-    for fn in iter_functions(programs):
-        if d is None:
-            d = fn.d
-        elif fn.d != d:
-            raise ValidationError(
-                f"function {fn.function_id!r} has dimension {fn.d}, expected {d}"
-            )
-    return d
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; a final newline ends the last line.
+
+    Bytes that are not UTF-8 raise :class:`ParseError` naming their line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+    del data  # do not hold the file twice while it is split
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _format_float(x: float) -> str:
@@ -241,11 +258,11 @@ def check_field(value: str, what: str) -> None:
 
 
 def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = None) -> None:
-    inferred = corpus_dimension(programs)
-    if inferred is not None:
-        if d is not None and d != inferred:
-            raise ValidationError(f"declared d={d} but corpus functions have d={inferred}")
-        d = inferred
+    first = next((fn for prog in programs for fn in prog.functions), None)
+    if first is not None:
+        if d is not None and d != first.d:
+            raise ValidationError(f"declared d={d} but corpus functions have d={first.d}")
+        d = first.d
     if d is None:
         raise ValidationError("cannot infer embedding dimension from an empty corpus; pass d")
     if d < 1:
@@ -267,6 +284,8 @@ def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = No
             )
         for fn in prog.functions:
             check_field(fn.function_id, "function id")
+            if fn.d != d:
+                raise ValidationError(f"function {fn.function_id!r} has d={fn.d}, expected {d}")
             emb = " ".join(_format_float(v) for v in fn.embedding)
             parts = [prog.program_id, fn.function_id, str(fn.loc), str(fn.nos), emb]
             if fn.class_label is not None:
@@ -287,11 +306,7 @@ def _parse_int(token: str, what: str, line: int) -> int:
 
 
 def load_corpus(path: str) -> list[ProgramRecord]:
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    raw_lines = text.split("\n")
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
+    raw_lines = read_lines(path)
     if not raw_lines:
         raise ParseError("empty file, expected header", 1)
 
@@ -338,8 +353,6 @@ def load_corpus(path: str) -> list[ProgramRecord]:
             emb = np.array([float(t) for t in tokens], dtype=np.float64)
         except ValueError:
             raise ParseError("embedding value is not a float", lineno) from None
-        if not np.all(np.isfinite(emb)):
-            raise ParseError("embedding has non-finite values", lineno)
 
         try:
             fn = FunctionRecord(

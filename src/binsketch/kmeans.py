@@ -201,11 +201,7 @@ def classify(model: CentroidModel, embeddings: np.ndarray) -> LabelAssignment:
     flagged in the returned assignment.
     """
     X = _check_matrix(embeddings, "embeddings")
-    if X.shape[0] == 0:
-        return LabelAssignment(
-            labels=np.empty(0, dtype=np.int64), zero_norm=np.empty(0, dtype=bool)
-        )
-    if X.shape[1] != model.d:
+    if X.shape[0] and X.shape[1] != model.d:
         raise ValidationError(
             f"embeddings have dimension {X.shape[1]}, model expects {model.d}"
         )

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import check_field
+from .corpus import check_field, read_lines
 from .errors import ParseError, ValidationError
 
 
@@ -180,12 +180,7 @@ def judgments_from_results(
 def load_class_map(path: str) -> dict[str, str]:
     """Read a program_id -> class_id map (one tab-separated pair per line)."""
     mapping: dict[str, str] = {}
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    raw = text.split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
-    for lineno, line in enumerate(raw, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}", lineno)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SemanticEmbedding, StructuralEmbedding, check_field
+from .corpus import SemanticEmbedding, StructuralEmbedding, check_field, read_lines
 from .errors import ConfigError, ParseError, ValidationError
 from .structural import Postings, build_postings, jaccard_many, pack_rows
 
@@ -212,14 +212,9 @@ def save_results(results: Sequence[tuple[str, SearchResult]], path: str) -> None
 
 def load_results(path: str) -> list[tuple[str, list[tuple[str, float]]]]:
     """Read a results file back as (query_id, [(program_id, score), ...])."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    raw = text.split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
     grouped: list[tuple[str, list[tuple[str, float]]]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(raw, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         fields = line.split("\t")
         if len(fields) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}", lineno)

@@ -4,9 +4,12 @@ Each function embedding is unit-normalized and then averaged with a weight
 derived from how much content the function carries: lines of pseudocode and
 number of string literals, each passed through a concave power law. Bigger
 functions carry more of the program's meaning, so they pull the pooled
-vector harder.
+vector harder. Zero-norm functions cannot be normalized and are skipped, as
+in the structural sketch; a program with none left pools to zero.
 The pooled vector is deliberately not re-normalized; callers compare with
-cosine, which ignores the length anyway.
+cosine, which ignores the length anyway. :func:`hash_programs` pools a whole
+corpus with one ``np.add.reduceat``; :func:`hash_program` is its
+one-program case.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import ProgramRecord, SemanticEmbedding
+from .corpus import ProgramRecord, SemanticEmbedding, stack_embeddings
 from .errors import ConfigError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -73,56 +77,51 @@ def weight(loc: int, nos: int, cfg: WeightConfig) -> float:
     return float(weights_array(np.array([loc]), np.array([nos]), cfg)[0])
 
 
+def hash_programs(
+    programs: Sequence[ProgramRecord], cfg: WeightConfig, d: int | None = None
+) -> list[SemanticEmbedding]:
+    """One float32 vector per program, in input order: the weighted sum of
+    its unit-normalized, non-zero-norm functions divided by their count.
+
+    A program with no such function pools to the zero vector, flagged
+    degenerate; ``d`` is required when no program has a function at all.
+    """
+    X, sizes = stack_embeddings(programs)
+    if not X.shape[0]:
+        if d is None:
+            raise ValidationError("no program has a function to infer d from; pass d")
+        X = np.empty((0, d))
+    elif d is not None and d != X.shape[1]:
+        raise ValidationError(f"functions have d={X.shape[1]}, expected {d}")
+    stats = np.fromiter(
+        ((fn.loc, fn.nos) for prog in programs for fn in prog.functions),
+        dtype=(np.float64, 2), count=X.shape[0],
+    )
+    w = weights_array(stats[:, 0], stats[:, 1], cfg)
+    norms = np.linalg.norm(X, axis=1)
+    usable = norms > 0.0
+    owner = np.repeat(np.arange(len(programs)), sizes)
+    if not usable.all():
+        logger.warning("skipped %d zero-norm functions", int((~usable).sum()))
+        X, norms, w, owner = X[usable], norms[usable], w[usable], owner[usable]
+    X /= norms[:, np.newaxis]
+    X *= w[:, np.newaxis]
+    counts = np.bincount(owner, minlength=len(programs))
+    pooled = np.zeros((len(programs), X.shape[1]))
+    full = counts > 0
+    starts = (np.cumsum(counts) - counts)[full]
+    pooled[full] = np.add.reduceat(X, starts, axis=0) / counts[full, np.newaxis]
+    return [
+        SemanticEmbedding(row, degenerate=not ok)
+        for row, ok in zip(pooled.astype(np.float32), full.tolist())
+    ]
+
+
 def hash_program(
     program: ProgramRecord, cfg: WeightConfig, d: int | None = None
 ) -> SemanticEmbedding:
-    """Pool a program's function embeddings into one float32 vector.
-
-    Zero-norm functions cannot be normalized and are skipped with a
-    warning; they do not count toward the averaging denominator. A program
-    with no usable functions pools to the zero vector, flagged degenerate
-    (``d`` must then be supplied or inferable from the skipped functions).
-    """
-    if program.functions:
-        dims = {fn.d for fn in program.functions}
-        if len(dims) > 1:
-            raise ValidationError(
-                f"program {program.program_id!r} mixes embedding dimensions {sorted(dims)}"
-            )
-        inferred = dims.pop()
-        if d is not None and d != inferred:
-            raise ValidationError(
-                f"program {program.program_id!r} has d={inferred}, expected {d}"
-            )
-        d = inferred
-    elif d is None:
-        raise ValidationError(
-            f"program {program.program_id!r} has no functions; pass d for the zero vector"
-        )
-
-    if not program.functions:
-        logger.warning("program %s has no functions; pooled to zero", program.program_id)
-        return SemanticEmbedding(np.zeros(d, dtype=np.float32), degenerate=True)
-
-    E = np.stack([fn.embedding for fn in program.functions])
-    norms = np.linalg.norm(E, axis=1)
-    usable = norms > 0.0
-    skipped = int((~usable).sum())
-    if skipped:
-        logger.warning(
-            "program %s: skipped %d zero-norm functions", program.program_id, skipped
-        )
-    if not np.any(usable):
-        return SemanticEmbedding(np.zeros(d, dtype=np.float32), degenerate=True)
-
-    w = weights_array(
-        np.array([fn.loc for fn in program.functions], dtype=np.float64),
-        np.array([fn.nos for fn in program.functions], dtype=np.float64),
-        cfg,
-    )
-    Xn = E[usable] / norms[usable, np.newaxis]
-    pooled = (w[usable] @ Xn) / float(usable.sum())
-    return SemanticEmbedding(pooled.astype(np.float32))
+    """Pool one program: :func:`hash_programs` of a one-program corpus."""
+    return hash_programs([program], cfg, d)[0]
 
 
 def cosine(a: SemanticEmbedding, b: SemanticEmbedding) -> float:

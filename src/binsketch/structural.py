@@ -3,6 +3,10 @@
 A program's functions are classified to their nearest centroid, the set of
 distinct labels is hashed into an m-bit vector with a signed hash family,
 and programs are compared by Jaccard similarity over those bit-vectors.
+Zero-norm functions have no direction and are skipped, as in the semantic
+sketch. :func:`hash_programs` sketches a whole corpus with one ``classify``
+call; :func:`hash_program` and :func:`labels_to_bitvector` are its
+one-program cases.
 
 The hash family is the splitmix64 finalizer applied to the label XORed
 with a per-role seed: one seed picks the bucket, the other the sign.
@@ -18,11 +22,11 @@ rarely changes a sketch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ProgramRecord, StructuralEmbedding
+from .corpus import ProgramRecord, StructuralEmbedding, stack_embeddings
 from .errors import ConfigError, ValidationError
 from .kmeans import CentroidModel, classify
 
@@ -75,43 +79,53 @@ class FeatureHasher:
         return np.where(low == 1, 1, -1).astype(np.int64)
 
 
-def _as_label_array(labels: Iterable[int]) -> np.ndarray:
-    out = []
-    for value in labels:
-        v = int(value)
-        if v < 0:
-            raise ValidationError(f"labels must be non-negative, got {v}")
-        if v >= 1 << 64:
-            raise ValidationError(f"labels must fit in 64 bits, got {v}")
-        out.append(v)
-    return np.unique(np.array(out, dtype=np.uint64)) if out else np.empty(0, dtype=np.uint64)
+def _fold(owner: np.ndarray, labels: np.ndarray, n: int, hasher: FeatureHasher) -> np.ndarray:
+    """Packed (n, m/64) sketches of distinct (program, label) pairs: pair i
+    adds the sign of ``labels[i]`` to its bucket in row ``owner[i]``, and a
+    bit is set where the sum is non-zero (opposite signs cancel)."""
+    m = hasher.m
+    keys = owner * m + hasher.position(labels).astype(np.int64)
+    cells, inverse = np.unique(keys, return_inverse=True)
+    # bincount sums in float64; exact here since bucket sums stay tiny.
+    cells = cells[np.bincount(inverse, weights=hasher.sign(labels)) != 0]
+    words = np.zeros((n, m >> 6), dtype=np.uint64)
+    # m is a multiple of 64, so cell >> 6 indexes the flattened word matrix.
+    np.bitwise_or.at(words.reshape(-1), cells >> 6, np.uint64(1) << (cells & 63).astype(np.uint64))
+    return words
 
 
 def labels_to_bitvector(labels: Iterable[int], hasher: FeatureHasher) -> StructuralEmbedding:
-    """Fold a set of labels into an m-bit vector.
+    """Fold a set of labels into an m-bit vector (the one-program case)."""
+    ints = [int(v) for v in labels]
+    bad = [v for v in ints if not 0 <= v < 1 << 64]
+    if bad:
+        raise ValidationError(f"labels must be in [0, 2**64), got {bad[0]}")
+    arr = np.unique(np.array(ints, dtype=np.uint64))
+    words = _fold(np.zeros(arr.size, dtype=np.int64), arr, 1, hasher)
+    return StructuralEmbedding(words[0], hasher.m)
 
-    Each distinct label adds its sign to its bucket; a bit is set exactly
-    when the signed sum there is non-zero, so colliding labels with
-    opposite signs cancel to zero.
-    """
-    arr = _as_label_array(labels)
-    if arr.size == 0:
-        return StructuralEmbedding(np.zeros((hasher.m + 63) // 64, dtype=np.uint64), hasher.m)
-    pos = hasher.position(arr).astype(np.int64)
-    # bincount sums in float64; exact here since bucket sums stay tiny.
-    sums = np.bincount(pos, weights=hasher.sign(arr), minlength=hasher.m)
-    return StructuralEmbedding.from_bits((sums != 0).astype(np.uint8))
+
+def hash_programs(
+    programs: Sequence[ProgramRecord], model: CentroidModel, hasher: FeatureHasher
+) -> list[StructuralEmbedding]:
+    """Sketch every program, in input order: the distinct labels of its
+    non-zero-norm functions, with one ``classify`` over the whole corpus."""
+    X, sizes = stack_embeddings(programs)
+    assignment = classify(model, X)
+    del X  # free the stacked matrix before the word matrix is allocated
+    keep = ~assignment.zero_norm
+    owner = np.repeat(np.arange(len(programs), dtype=np.int64), sizes)[keep]
+    k = model.n_clusters
+    pairs = np.unique(owner * k + assignment.labels[keep])
+    words = _fold(pairs // k, (pairs % k).astype(np.uint64), len(programs), hasher)
+    return [StructuralEmbedding(row, hasher.m) for row in words]
 
 
 def hash_program(
     program: ProgramRecord, model: CentroidModel, hasher: FeatureHasher
 ) -> StructuralEmbedding:
-    """Sketch a program: classify its functions, hash the distinct labels."""
-    if not program.functions:
-        return labels_to_bitvector((), hasher)
-    emb = np.stack([fn.embedding for fn in program.functions])
-    assignment = classify(model, emb)
-    return labels_to_bitvector(set(assignment.labels.tolist()), hasher)
+    """Sketch one program: :func:`hash_programs` of a one-program corpus."""
+    return hash_programs([program], model, hasher)[0]
 
 
 def jaccard(a: StructuralEmbedding, b: StructuralEmbedding) -> float:

@@ -16,6 +16,7 @@ roughly the ratio of perturbation length to the unit base vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class SynthConfig:
                 f"reuse={self.reuse} leaves no class-specific functions "
                 f"({self.shared_count} of {self.functions_per_program} shared)"
             )
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         for name in ("class_loc", "class_nos", "shared_loc", "shared_nos"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:

@@ -356,6 +356,35 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_synth_noise_is_usage_error(self, tmp_path, capsys, noise):
+        code, _, err = run_cli(
+            capsys, "synth",
+            "--classes", "2", "--programs-per-class", "1", "--noise", noise,
+            "--out-repo", str(tmp_path / "r.tsv"),
+            "--out-query", str(tmp_path / "q.tsv"),
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: noise must be finite and >= 0, got {noise}"]
+        assert not (tmp_path / "r.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hash", "--corpus", "model.km", "--mode", "sem", "--out", "x.sem"],
+            ["eval", "--results", "repo.stru", "--class-map", "classes.tsv"],
+            ["eval", "--results", "hits.tsv", "--class-map", "model.km"],
+        ],
+        ids=["corpus", "results", "class-map"],
+    )
+    def test_non_utf8_text_input_is_usage_error(self, pipeline_dir, capsys, argv):
+        (pipeline_dir / "hits.tsv").write_text("C0000Q000\t1\tC0000P000\t1.000000\n")
+        argv = [str(pipeline_dir / a) if "." in a else a for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "not valid UTF-8" in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2

@@ -92,6 +92,18 @@ class TestCorpusFormat:
         with pytest.raises(ValidationError):
             save_corpus([ProgramRecord("p")], str(tmp_path / "x.tsv"), d=3)
 
+    @pytest.mark.parametrize(
+        "dims, declared, match",
+        [((3, 4), None, "'p1.f0' has d=4, expected 3"), ((3, 3), 5, "declared d=5")],
+        ids=["mixed", "declared"],
+    )
+    def test_dimension_mismatch_rejected_on_save(self, rng, tmp_path, dims, declared, match):
+        programs = [make_program(rng, f"p{i}", n_functions=2, d=d) for i, d in enumerate(dims)]
+        path = tmp_path / "x.tsv"
+        with pytest.raises(ValidationError, match=match):
+            save_corpus(programs, str(path), d=declared)
+        assert not path.exists()
+
     def test_duplicate_program_id_rejected_on_save(self, rng, tmp_path):
         programs = [make_program(rng, "same"), make_program(rng, "same")]
         with pytest.raises(ValidationError):

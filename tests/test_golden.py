@@ -3,7 +3,8 @@
 The binary containers and the results TSV are an on-disk contract: a
 refactor of the code behind them must not move a single byte. Each case
 also checks that loading the golden bytes and saving them again writes the
-same bytes back.
+same bytes back. The ``hash`` cases pin what both sketch modes write for a
+fixed corpus and model.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from binsketch.corpus import (
     save_semantic,
     save_structural,
 )
+from binsketch.cli import main
 from binsketch.kmeans import CentroidModel, load_model, save_model
 from binsketch.search import Hit, SearchResult, load_results, save_results
 
@@ -108,4 +110,56 @@ def test_load_save_round_trip_is_byte_identical(tmp_path, name):
     src, out = tmp_path / "golden", tmp_path / "again"
     src.write_bytes(expected)
     reload(str(src), str(out))
+    assert out.read_bytes() == expected
+
+
+# `hash` over a fixed corpus with no zero-norm function. Labels under MODEL4:
+# p0 -> {0, 0, 2} (a repeated label), p1 -> {3} (one function), p2 -> {1, 2, 3, 1}.
+HASH_CORPUS = """KHCORP1\tversion=1\td=3
+p0\tp0.f0\t10\t1\t1.0 0.1 0.0
+p0\tp0.f1\t200\t0\t0.9 0.0 0.05
+p0\tp0.f2\t5\t3\t0.0 0.0 2.0
+p1\tp1.f0\t40\t2\t0.5 0.7 0.0
+p2\tp2.f0\t1\t0\t0.0 1.5 0.2
+p2\tp2.f1\t12\t7\t0.2 -0.3 1.0
+p2\tp2.f2\t77\t1\t0.59 0.81 0.0
+p2\tp2.f3\t300\t40\t-1.0 0.5 0.25
+"""
+MODEL4 = CentroidModel(
+    np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0]], dtype=np.float32)
+)
+# Set bits per program at m=1024 with the default seeds: label 0 -> 431,
+# 1 -> 32, 2 -> 718, 3 -> 193.
+HASH_STRU_BITS = [("p0", [431, 718]), ("p1", [193]), ("p2", [32, 193, 718])]
+HASH_SEM_HEX = (
+    "4b4853454d31" "03000000" "0300000000000000"
+    "02000000" "7030" "3cc6db3f" "2efba93d" "6d2b873f"
+    "02000000" "7031" "fc1af13f" "17c62840" "00000000"
+    "02000000" "7032" "e0b592bf" "2e5fc63f" "f616b53f"
+)
+
+
+def _stru_bytes(m, rows):
+    out = bytearray(b"KHSTRU1" + m.to_bytes(4, "little") + len(rows).to_bytes(8, "little"))
+    for pid, on in rows:
+        payload = bytearray(m // 8)
+        for bit in on:
+            payload[bit >> 3] |= 1 << (bit & 7)
+        out += len(pid).to_bytes(4, "little") + pid.encode() + payload
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "mode, expected",
+    [("stru", _stru_bytes(1024, HASH_STRU_BITS)), ("sem", bytes.fromhex(HASH_SEM_HEX))],
+)
+def test_hash_writes_pinned_bytes(tmp_path, capsys, mode, expected):
+    corpus, model, out = tmp_path / "c.tsv", tmp_path / "m.km", tmp_path / "out"
+    corpus.write_text(HASH_CORPUS)
+    save_model(MODEL4, str(model))
+    argv = ["hash", "--corpus", str(corpus), "--mode", mode, "--out", str(out)]
+    if mode == "stru":
+        argv += ["--model", str(model), "--m", "1024"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"programs=3\nmode={mode}\n"
     assert out.read_bytes() == expected

@@ -1,0 +1,108 @@
+"""Whole-corpus sketching equals sketching each program on its own.
+
+``structural.hash_programs`` and ``semantic.hash_programs`` work over the
+stacked functions of a whole corpus; each program's result must not depend
+on its neighbours, and must match an oracle built from the program alone.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from binsketch import semantic, structural
+from binsketch.corpus import FunctionRecord, ProgramRecord
+from binsketch.kmeans import CentroidModel, classify
+
+K, D, M = 2048, 16, 1 << 10
+_C = np.random.default_rng(7).standard_normal((K, D))
+MODEL = CentroidModel(_C / np.linalg.norm(_C, axis=1, keepdims=True))
+CENTROIDS = MODEL.centroids.astype(np.float64)
+HASHER = structural.FeatureHasher(m=M)
+assert np.array_equal(classify(MODEL, CENTROIDS).labels, np.arange(K))
+
+# With 2048 labels in 1024 buckets, collisions are common; keep a pair that
+# cancels (opposite signs) and one that reinforces (equal signs) in reach.
+_POS = HASHER.position(np.arange(K)).astype(np.int64)
+_SIGN = HASHER.sign(np.arange(K))
+_first: dict[int, int] = {}
+COLLIDING: list[int] = []
+for _label in range(K):
+    _other = _first.setdefault(int(_POS[_label]), _label)
+    if _other != _label and len(COLLIDING) < 8:
+        COLLIDING += [_other, _label]
+assert len({(_SIGN[a] == _SIGN[b]) for a, b in zip(COLLIDING[::2], COLLIDING[1::2])}) == 2
+
+# A function is a label (its embedding is that centroid, scaled) or None (a
+# zero-norm function). Small labels repeat often within a program.
+_LABEL = st.one_of(st.integers(0, 7), st.sampled_from(COLLIDING), st.integers(0, K - 1))
+_FUNCTION = st.tuples(
+    st.one_of(st.none(), _LABEL), st.floats(0.25, 4.0), st.integers(0, 500), st.integers(0, 30)
+)
+_CORPUS = st.lists(st.lists(_FUNCTION, max_size=10), max_size=8)
+
+
+def _programs(spec):
+    programs = []
+    for i, functions in enumerate(spec):
+        records = [
+            FunctionRecord(
+                f"p{i}.f{j}",
+                np.zeros(D) if label is None else CENTROIDS[label] * scale,
+                loc=loc,
+                nos=nos,
+            )
+            for j, (label, scale, loc, nos) in enumerate(functions)
+        ]
+        programs.append(ProgramRecord(f"p{i}", records))
+    return programs
+
+
+def _oracle_bits(labels):
+    sums: dict[int, int] = {}
+    for label in set(labels):
+        bucket = int(HASHER.position(np.array([label]))[0])
+        sums[bucket] = sums.get(bucket, 0) + int(HASHER.sign(np.array([label]))[0])
+    return sorted(b for b, total in sums.items() if total != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CORPUS)
+def test_structural_corpus_equals_each_program(spec):
+    programs = _programs(spec)
+    got = structural.hash_programs(programs, MODEL, HASHER)
+    assert got == [structural.hash_program(p, MODEL, HASHER) for p in programs]
+    for sketch, functions in zip(got, spec):
+        labels = [label for label, *_ in functions if label is not None]
+        assert np.flatnonzero(sketch.bits()).tolist() == _oracle_bits(labels)
+
+
+def test_colliding_pairs_cancel_and_reinforce():
+    for a, b in zip(COLLIDING[::2], COLLIDING[1::2]):
+        program = _programs([[(a, 1.0, 1, 0), (b, 1.0, 1, 0)]])
+        sketch = structural.hash_programs(program, MODEL, HASHER)[0]
+        assert sketch.popcount() == (1 if _SIGN[a] == _SIGN[b] else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CORPUS, st.sampled_from(semantic.MODES))
+def test_semantic_corpus_equals_each_program(spec, mode):
+    programs = _programs(spec)
+    cfg = semantic.WeightConfig(mode=mode)
+    got = semantic.hash_programs(programs, cfg, d=D)
+    each = [semantic.hash_program(p, cfg, d=D) for p in programs]
+    assert [g.values.tobytes() for g in got] == [e.values.tobytes() for e in each]
+    assert [g.degenerate for g in got] == [e.degenerate for e in each]
+    for pooled, program in zip(got, programs):
+        usable = [fn for fn in program.functions if fn.embedding.any()]
+        assert pooled.degenerate == (not usable)
+        for comp in range(D):
+            terms = [
+                semantic.weight(fn.loc, fn.nos, cfg)
+                * fn.embedding[comp]
+                / math.sqrt(math.fsum(v * v for v in fn.embedding))
+                for fn in usable
+            ]
+            expect = math.fsum(terms) / len(usable) if usable else 0.0
+            assert abs(float(pooled.values[comp]) - expect) <= 1e-6

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsketch.corpus import ProgramRecord, StructuralEmbedding
+from binsketch.corpus import FunctionRecord, ProgramRecord, StructuralEmbedding
 from binsketch.errors import ConfigError, ValidationError
 from binsketch.kmeans import CentroidModel, classify
 from binsketch.structural import (
@@ -218,6 +218,25 @@ class TestHashProgram:
         model = self._model(rng)
         h = FeatureHasher(m=1 << 10)
         emb = hash_program(ProgramRecord("empty"), model, h)
+        assert emb.popcount() == 0
+
+    def test_zero_norm_functions_are_skipped(self, rng):
+        # The same policy as the semantic sketch: a zero-norm function has
+        # no direction, so it adds no label (not label 0).
+        model = self._model(rng)
+        functions = [
+            FunctionRecord(f"f{j}", model.centroids[j].astype(np.float64), loc=1, nos=0)
+            for j in (1, 2, 3)
+        ]
+        zero = FunctionRecord("z", np.zeros(6), loc=1, nos=0)
+        h = FeatureHasher(m=1 << 10)
+        got = hash_program(ProgramRecord("p", [*functions, zero]), model, h)
+        assert got == labels_to_bitvector({1, 2, 3}, h)
+
+    def test_all_zero_program_gets_empty_sketch(self, rng):
+        model = self._model(rng)
+        zero = [FunctionRecord(f"z{i}", np.zeros(6), loc=1, nos=0) for i in range(3)]
+        emb = hash_program(ProgramRecord("p", zero), model, FeatureHasher(m=1 << 10))
         assert emb.popcount() == 0
 
     def test_dimension_mismatch_rejected(self, rng):
