@@ -136,9 +136,9 @@ def cmd_synth(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_kmeans_train(args, cfg: PipelineConfig) -> int:
-    X, _ = stack_embeddings(load_corpus(args.corpus))
+    _, X, _ = stack_embeddings(load_corpus(args.corpus))
     if not X.shape[0]:
-        raise ValidationError(f"{args.corpus}: corpus has no functions to train on")
+        raise ValidationError(f"{args.corpus}: corpus has no non-zero-norm functions to train on")
     if args.sample < 0:
         raise ConfigError(f"--sample must be >= 0, got {args.sample}")
     seed = _pick(args.seed, cfg.seed_kmeans)
@@ -226,11 +226,10 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
 
 
 def _labeled_functions(corpus_path: str, model: kmeans.CentroidModel):
-    programs = load_corpus(corpus_path)
-    X, _ = stack_embeddings(programs)
-    if not X.shape[0]:
-        raise ValidationError(f"{corpus_path}: corpus has no functions")
-    truth = [fn.class_label for prog in programs for fn in prog.functions]
+    functions, X, _ = stack_embeddings(load_corpus(corpus_path))
+    if not functions:
+        raise ValidationError(f"{corpus_path}: corpus has no non-zero-norm functions")
+    truth = [fn.class_label for fn in functions]
     if None in truth:
         raise ValidationError(
             f"{corpus_path}: {truth.count(None)} functions lack the ground-truth class_label"
@@ -257,8 +256,11 @@ def cmd_match_eval(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_loss_check(args, cfg: PipelineConfig) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for flag, value, low in (("--n", args.n, 1), ("--d", args.d, 1), ("--seed", args.seed, 0)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     batch = contrastive.PairedBatch(
         source=rng.standard_normal((args.n, args.d)),

@@ -115,10 +115,11 @@ def finite_difference_check(batch: PairedBatch, step: float = 1e-4) -> float:
 
     Every coordinate of both embedding matrices and the temperature is
     perturbed by +-step. Relative error divides by the larger magnitude,
-    floored at 1e-6 so near-zero pairs do not explode the ratio.
+    floored at 1e-6 so near-zero pairs do not explode the ratio. A NaN
+    error (from an infinite loss, say) makes the result NaN.
     """
-    if step <= 0:
-        raise ValidationError(f"step must be > 0, got {step}")
+    if not (np.isfinite(step) and step > 0):
+        raise ValidationError(f"step must be finite and > 0, got {step}")
     analytic = loss_grad(batch)
     worst = 0.0
 
@@ -135,7 +136,8 @@ def finite_difference_check(batch: PairedBatch, step: float = 1e-4) -> float:
             M[idx] = saved - step
             down = loss(batch)
             M[idx] = saved
-            worst = max(worst, _rel(float(dM[idx]), (up - down) / (2 * step)))
+            # np.maximum keeps a NaN, where max() would drop it.
+            worst = np.maximum(worst, _rel(float(dM[idx]), (up - down) / (2 * step)))
 
     t = batch.temperature
     batch.temperature = t + step
@@ -143,5 +145,5 @@ def finite_difference_check(batch: PairedBatch, step: float = 1e-4) -> float:
     batch.temperature = t - step
     down = loss(batch)
     batch.temperature = t
-    worst = max(worst, _rel(analytic.d_temperature, (up - down) / (2 * step)))
-    return worst
+    worst = np.maximum(worst, _rel(analytic.d_temperature, (up - down) / (2 * step)))
+    return float(worst)

@@ -15,6 +15,7 @@ file byte for byte.
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -22,6 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FormatError, ParseError, ValidationError
+
+logger = logging.getLogger(__name__)
 
 CORPUS_MAGIC = "KHCORP1"
 STRUCTURAL_MAGIC = b"KHSTRU1"
@@ -144,11 +147,7 @@ class StructuralEmbedding:
             raise FormatError(f"expected {nbytes} bytes for m={m}, got {len(raw)}")
         nwords = (m + 63) // 64
         padded = bytes(raw) + b"\x00" * (nwords * 8 - nbytes)
-        words = np.frombuffer(padded, dtype="<u8").copy()
-        pad = m % 64
-        if pad:
-            words[-1] &= np.uint64((1 << pad) - 1)
-        return cls(words, m)
+        return cls(np.frombuffer(padded, dtype="<u8").copy(), m)
 
     def to_bytes(self) -> bytes:
         nbytes = (self.m + 7) // 8
@@ -172,14 +171,10 @@ class StructuralEmbedding:
 
 @dataclass(eq=False)
 class SemanticEmbedding:
-    """A pooled float32 program vector.
-
-    ``degenerate`` marks vectors produced from programs with no usable
-    functions; it is advisory and ignored by equality.
-    """
+    """A pooled float32 program vector (zero for a program that contributes
+    no function)."""
 
     values: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
@@ -198,21 +193,35 @@ class SemanticEmbedding:
         return np.array_equal(self.values, other.values)
 
 
-def stack_embeddings(programs: Sequence[ProgramRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Every function embedding as one (F, d) float64 matrix, in corpus order
-    ((0, 0) if there is none), and each program's function count."""
-    sizes = np.fromiter((len(p.functions) for p in programs), dtype=np.int64, count=len(programs))
+def stack_embeddings(
+    programs: Sequence[ProgramRecord],
+) -> tuple[list[FunctionRecord], np.ndarray, np.ndarray]:
+    """The functions a corpus contributes, in corpus order, with their rows as
+    one (F, d) float64 matrix ((0, 0) if there is none) and each row's program
+    index. This is the one corpus-to-rows step: a zero-norm function (all
+    zeros, or a norm that underflows) has no direction, so it is dropped here
+    for every consumer, with one warning."""
     functions = [fn for prog in programs for fn in prog.functions]
+    sizes = np.fromiter((len(p.functions) for p in programs), dtype=np.int64, count=len(programs))
+    owner = np.repeat(np.arange(len(programs), dtype=np.int64), sizes)
     if not functions:
-        return np.empty((0, 0)), sizes
+        return functions, np.empty((0, 0)), owner
     try:
-        return np.stack([fn.embedding for fn in functions]), sizes
+        X = np.stack([fn.embedding for fn in functions])
     except ValueError:
         bad = next(fn for fn in functions if fn.d != functions[0].d)
         raise ValidationError(
             f"function {bad.function_id!r} has dimension {bad.d}, but the corpus mixes "
             f"dimensions (the first function has {functions[0].d})"
         ) from None
+    # Zero exactly where np.linalg.norm is zero, without an (F, d) temporary.
+    with np.errstate(over="ignore"):
+        keep = np.einsum("ij,ij->i", X, X) > 0.0
+    if not keep.all():
+        logger.warning("skipped %d zero-norm functions", int(keep.size - keep.sum()))
+        functions = [fn for fn, kept in zip(functions, keep.tolist()) if kept]
+        X, owner = X[keep], owner[keep]
+    return functions, X, owner
 
 
 def read_lines(path: str) -> list[str]:
@@ -231,12 +240,6 @@ def read_lines(path: str) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
-
-
-def _format_float(x: float) -> str:
-    # repr() of a Python float is the shortest string that parses back
-    # to the same double, which is what makes round trips byte-exact.
-    return repr(float(x))
 
 
 def encode_id(value: str, what: str) -> bytes:
@@ -286,7 +289,9 @@ def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = No
             check_field(fn.function_id, "function id")
             if fn.d != d:
                 raise ValidationError(f"function {fn.function_id!r} has d={fn.d}, expected {d}")
-            emb = " ".join(_format_float(v) for v in fn.embedding)
+            # repr() of a Python float is the shortest string that parses back
+            # to the same double, which is what makes round trips byte-exact.
+            emb = " ".join(map(repr, fn.embedding.tolist()))
             parts = [prog.program_id, fn.function_id, str(fn.loc), str(fn.nos), emb]
             if fn.class_label is not None:
                 parts.append(f"class_label={fn.class_label}")
@@ -350,7 +355,8 @@ def load_corpus(path: str) -> list[ProgramRecord]:
         if len(tokens) != d:
             raise ParseError(f"expected {d} embedding values, got {len(tokens)}", lineno)
         try:
-            emb = np.array([float(t) for t in tokens], dtype=np.float64)
+            # numpy converts each str with Python's float(): same tokens accepted.
+            emb = np.array(tokens, dtype=np.float64)
         except ValueError:
             raise ParseError("embedding value is not a float", lineno) from None
 
@@ -472,7 +478,10 @@ def load_structural(path: str) -> list[tuple[str, StructuralEmbedding]]:
     m, ids, payloads = read_records(path, STRUCTURAL_MAGIC, lambda m: (m + 7) // 8)
     if m < 1:
         raise FormatError(f"{path}: bit-vector length must be >= 1, got {m}")
-    return [(pid, StructuralEmbedding.from_bytes(raw, m)) for pid, raw in zip(ids, payloads)]
+    try:
+        return [(pid, StructuralEmbedding.from_bytes(raw, m)) for pid, raw in zip(ids, payloads)]
+    except ValidationError as exc:  # padding bits past m are set
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def load_embeddings(path: str):
@@ -506,4 +515,4 @@ def load_semantic(path: str) -> list[tuple[str, SemanticEmbedding]]:
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise FormatError(f"{path}: entry {ids[int(np.argmin(finite))]!r} has non-finite values")
-    return [(pid, SemanticEmbedding(row, degenerate=not row.any())) for pid, row in zip(ids, rows)]
+    return [(pid, SemanticEmbedding(row)) for pid, row in zip(ids, rows)]

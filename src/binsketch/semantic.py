@@ -4,8 +4,9 @@ Each function embedding is unit-normalized and then averaged with a weight
 derived from how much content the function carries: lines of pseudocode and
 number of string literals, each passed through a concave power law. Bigger
 functions carry more of the program's meaning, so they pull the pooled
-vector harder. Zero-norm functions cannot be normalized and are skipped, as
-in the structural sketch; a program with none left pools to zero.
+vector harder. The functions pooled are those ``corpus.stack_embeddings``
+keeps (zero-norm ones cannot be normalized and are dropped, as for every
+consumer), so a program with none left pools to the zero vector.
 The pooled vector is deliberately not re-normalized; callers compare with
 cosine, which ignores the length anyway. :func:`hash_programs` pools a whole
 corpus with one ``np.add.reduceat``; :func:`hash_program` is its
@@ -14,7 +15,6 @@ one-program case.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,8 +23,6 @@ import numpy as np
 
 from .corpus import ProgramRecord, SemanticEmbedding, stack_embeddings
 from .errors import ConfigError, ValidationError
-
-logger = logging.getLogger(__name__)
 
 MODES = ("full", "mean_pooling", "loc_only", "nos_only")
 
@@ -81,40 +79,29 @@ def hash_programs(
     programs: Sequence[ProgramRecord], cfg: WeightConfig, d: int | None = None
 ) -> list[SemanticEmbedding]:
     """One float32 vector per program, in input order: the weighted sum of
-    its unit-normalized, non-zero-norm functions divided by their count.
+    its unit-normalized contributing functions divided by their count.
 
-    A program with no such function pools to the zero vector, flagged
-    degenerate; ``d`` is required when no program has a function at all.
+    A program with no such function pools to the zero vector; ``d`` is
+    required when the corpus has no function at all.
     """
-    X, sizes = stack_embeddings(programs)
-    if not X.shape[0]:
+    functions, X, owner = stack_embeddings(programs)
+    if not X.shape[1]:
         if d is None:
             raise ValidationError("no program has a function to infer d from; pass d")
         X = np.empty((0, d))
     elif d is not None and d != X.shape[1]:
         raise ValidationError(f"functions have d={X.shape[1]}, expected {d}")
     stats = np.fromiter(
-        ((fn.loc, fn.nos) for prog in programs for fn in prog.functions),
-        dtype=(np.float64, 2), count=X.shape[0],
+        ((fn.loc, fn.nos) for fn in functions), dtype=(np.float64, 2), count=len(functions)
     )
-    w = weights_array(stats[:, 0], stats[:, 1], cfg)
-    norms = np.linalg.norm(X, axis=1)
-    usable = norms > 0.0
-    owner = np.repeat(np.arange(len(programs)), sizes)
-    if not usable.all():
-        logger.warning("skipped %d zero-norm functions", int((~usable).sum()))
-        X, norms, w, owner = X[usable], norms[usable], w[usable], owner[usable]
-    X /= norms[:, np.newaxis]
-    X *= w[:, np.newaxis]
+    X /= np.linalg.norm(X, axis=1)[:, np.newaxis]
+    X *= weights_array(stats[:, 0], stats[:, 1], cfg)[:, np.newaxis]
     counts = np.bincount(owner, minlength=len(programs))
     pooled = np.zeros((len(programs), X.shape[1]))
     full = counts > 0
     starts = (np.cumsum(counts) - counts)[full]
     pooled[full] = np.add.reduceat(X, starts, axis=0) / counts[full, np.newaxis]
-    return [
-        SemanticEmbedding(row, degenerate=not ok)
-        for row, ok in zip(pooled.astype(np.float32), full.tolist())
-    ]
+    return [SemanticEmbedding(row) for row in pooled.astype(np.float32)]
 
 
 def hash_program(

@@ -3,10 +3,11 @@
 A program's functions are classified to their nearest centroid, the set of
 distinct labels is hashed into an m-bit vector with a signed hash family,
 and programs are compared by Jaccard similarity over those bit-vectors.
-Zero-norm functions have no direction and are skipped, as in the semantic
-sketch. :func:`hash_programs` sketches a whole corpus with one ``classify``
-call; :func:`hash_program` and :func:`labels_to_bitvector` are its
-one-program cases.
+The functions hashed are those ``corpus.stack_embeddings`` keeps (zero-norm
+ones are dropped, as for every consumer), so a program with none left gets
+the empty sketch. :func:`hash_programs` sketches a whole corpus with one
+``classify`` call; :func:`hash_program` and :func:`labels_to_bitvector` are
+its one-program cases.
 
 The hash family is the splitmix64 finalizer applied to the label XORed
 with a per-role seed: one seed picks the bucket, the other the sign.
@@ -109,14 +110,12 @@ def hash_programs(
     programs: Sequence[ProgramRecord], model: CentroidModel, hasher: FeatureHasher
 ) -> list[StructuralEmbedding]:
     """Sketch every program, in input order: the distinct labels of its
-    non-zero-norm functions, with one ``classify`` over the whole corpus."""
-    X, sizes = stack_embeddings(programs)
-    assignment = classify(model, X)
+    contributing functions, with one ``classify`` over the whole corpus."""
+    _, X, owner = stack_embeddings(programs)
+    labels = classify(model, X).labels
     del X  # free the stacked matrix before the word matrix is allocated
-    keep = ~assignment.zero_norm
-    owner = np.repeat(np.arange(len(programs), dtype=np.int64), sizes)[keep]
     k = model.n_clusters
-    pairs = np.unique(owner * k + assignment.labels[keep])
+    pairs = np.unique(owner * k + labels)
     words = _fold(pairs // k, (pairs % k).astype(np.uint64), len(programs), hasher)
     return [StructuralEmbedding(row, hasher.m) for row in words]
 

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -261,6 +262,61 @@ class TestMatchEval:
         assert "class_label" in err
 
 
+class TestZeroNormFunctions:
+    """Every command drops zero-norm functions, as ``hash`` does."""
+
+    def _corpus(self, path, zero):
+        lines = ["KHCORP1\tversion=1\td=2"]
+        for pid in ("A", "B"):
+            lines.append(f"{pid}\t{pid}.f0\t10\t1\t1.0 0.0\tclass_label=0")
+            lines.append(f"{pid}\t{pid}.f1\t10\t1\t0.0 1.0\tclass_label=1")
+        if zero:
+            # Whatever its class, cluster 0 is no evidence about it.
+            lines.append("B\tB.zero\t10\t1\t0.0 0.0\tclass_label=1")
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        return str(path)
+
+    def _train(self, capsys, corpus, model):
+        return run_cli(
+            capsys, "kmeans-train", "--corpus", corpus, "--n-clusters", "2",
+            "--iterations", "3", "--seed", "0", "--out", str(model),
+        )
+
+    def test_kmeans_train_skips_them(self, tmp_path, capsys, caplog):
+        model = tmp_path / "model.km"
+        with caplog.at_level(logging.WARNING, logger="binsketch.corpus"):
+            code, out, err = self._train(capsys, self._corpus(tmp_path / "z.tsv", True), model)
+        assert code == 0, err
+        assert parse_report(out)["trained_on"] == "4"
+        assert [r.getMessage() for r in caplog.records] == ["skipped 1 zero-norm functions"]
+        clean = tmp_path / "clean.km"
+        self._train(capsys, self._corpus(tmp_path / "c.tsv", False), clean)
+        assert model.read_bytes() == clean.read_bytes()
+
+    def test_all_zero_corpus_has_nothing_to_train_on(self, tmp_path, capsys):
+        corpus = tmp_path / "zero.tsv"
+        corpus.write_bytes(b"KHCORP1\tversion=1\td=2\np\tp.f0\t1\t0\t0.0 0.0\n")
+        code, out, err = self._train(capsys, str(corpus), tmp_path / "m.km")
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: {corpus}: corpus has no non-zero-norm functions to train on"
+        ]
+
+    @pytest.mark.parametrize("side", ["--query-corpus", "--repo-corpus"])
+    def test_match_eval_does_not_pair_them_as_cluster_zero(self, tmp_path, capsys, side):
+        clean = self._corpus(tmp_path / "c.tsv", False)
+        model = str(tmp_path / "model.km")
+        assert self._train(capsys, clean, model)[0] == 0
+        argv = {"--query-corpus": clean, "--repo-corpus": clean, "--model": model}
+        code, expect, err = run_cli(capsys, "match-eval", *sum(argv.items(), ()))
+        assert code == 0, err
+        argv[side] = self._corpus(tmp_path / "z.tsv", True)
+        code, out, err = run_cli(capsys, "match-eval", *sum(argv.items(), ()))
+        assert code == 0, err
+        assert parse_report(out) == parse_report(expect)
+        assert parse_report(out)["matched_pairs"] == "8"
+
+
 class TestLossCheck:
     def test_default_run_passes(self, capsys):
         code, out, err = run_cli(capsys, "loss-check")
@@ -273,6 +329,31 @@ class TestLossCheck:
         code, out, _ = run_cli(capsys, "loss-check", "--tol", "0")
         assert code == 1
         assert parse_report(out)["status"] == "fail"
+
+    def test_overflowing_loss_fails(self, capsys):
+        # The loss is inf, so every finite difference is NaN: not a pass.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(capsys, "loss-check", "--temperature", "1e308")
+        assert code == 1
+        report = parse_report(out)
+        assert report["max_rel_error"] == "nan"
+        assert report["status"] == "fail"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--step", "nan", "step must be finite and > 0, got nan"),
+            ("--step", "inf", "step must be finite and > 0, got inf"),
+            ("--tol", "nan", "--tol must be finite and >= 0, got nan"),
+            ("--tol", "inf", "--tol must be finite and >= 0, got inf"),
+            ("--tol", "-1", "--tol must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_step_or_tolerance_is_usage_error(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "loss-check", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
 
 class TestBench:
@@ -385,6 +466,21 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "not valid UTF-8" in err
 
+    def test_structural_file_with_set_padding_bits_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "pad.stru"
+        # KHSTRU1, m = 100, one record "p" of 13 bytes with bits 100-103 set.
+        path.write_bytes(
+            b"KHSTRU1" + (100).to_bytes(4, "little") + (1).to_bytes(8, "little")
+            + (1).to_bytes(4, "little") + b"p" + b"\x00" * 12 + b"\xf0"
+        )
+        code, _, err = run_cli(
+            capsys, "index-search", "--repo-emb", str(path), "--query-emb", str(path),
+            "--out", str(tmp_path / "hits.tsv"),
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: {path}: padding bits past m must be zero"]
+        assert not (tmp_path / "hits.tsv").exists()
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
@@ -423,6 +519,13 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.splitlines() == ["error: seed must be >= 0, got -3"]
+
+    @pytest.mark.parametrize("flag", ["--n", "--d"])
+    def test_negative_loss_check_size_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "loss-check", flag, "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {flag} must be >= 1, got -1"]
 
     def test_negative_loss_check_seed_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "loss-check", "--seed", "-1")

@@ -119,6 +119,19 @@ class TestGradients:
         batch = random_batch(11, n=5, d=6, temperature=4.0)
         assert finite_difference_check(batch, step=1e-4) <= 1e-3
 
+    @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_checker_rejects_step_that_is_not_finite_and_positive(self, step):
+        with pytest.raises(ValidationError, match="step must be finite and > 0"):
+            finite_difference_check(random_batch(3), step=step)
+
+    def test_checker_reports_nan_when_the_loss_overflows(self):
+        # At t = 1e308 the logits overflow: the loss is inf and every central
+        # difference is inf - inf. max() would drop those NaNs and report 0.
+        batch = random_batch(5, temperature=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert loss(batch) == np.inf
+            assert np.isnan(finite_difference_check(batch))
+
     def test_checker_restores_batch(self):
         batch = random_batch(13)
         src, pse, t = batch.source.copy(), batch.pseudo.copy(), batch.temperature

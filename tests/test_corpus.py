@@ -1,3 +1,5 @@
+import math
+import re
 import struct
 
 import numpy as np
@@ -233,6 +235,20 @@ class TestBinaryContainers:
         with pytest.raises(FormatError, match="trailing"):
             load_structural(str(path))
 
+    def test_structural_set_padding_bits_rejected(self, tmp_path):
+        # m = 100 fills 12.5 bytes: bits 100-103, the high nibble of the last
+        # byte, are padding that the writer leaves zero. A reader that cleared
+        # them would load a file that load -> save does not reproduce.
+        path = tmp_path / "pad.stru"
+        ones = StructuralEmbedding.from_bits(np.ones(100, dtype=np.uint8))
+        save_structural([("p", ones)], str(path))
+        raw = bytearray(path.read_bytes())
+        assert raw[-1] == 0x0F
+        raw[-1] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*padding bits"):
+            load_structural(str(path))
+
     def test_semantic_round_trip(self, rng, tmp_path):
         entries = [
             (f"p{i}", SemanticEmbedding(rng.standard_normal(8).astype(np.float32)))
@@ -247,7 +263,8 @@ class TestBinaryContainers:
         path = tmp_path / "repo.sem"
         save_semantic([("z", SemanticEmbedding(np.zeros(4, dtype=np.float32)))], str(path))
         (_, loaded), = load_semantic(str(path))
-        assert loaded.degenerate
+        assert not loaded.values.any()
+        assert loaded == SemanticEmbedding(np.zeros(4, dtype=np.float32))
 
     def test_semantic_bad_magic(self, tmp_path):
         path = tmp_path / "x.sem"
@@ -311,3 +328,37 @@ def test_corpus_round_trip_property(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("prop") / "corpus.tsv"
     save_corpus(programs, str(path), d=d)
     assert load_corpus(str(path)) == programs
+
+
+# Tokens whose parse a hand-written float scanner could get wrong: Python's
+# float() accepts underscores between digits, surrounding whitespace, other
+# Unicode digits and the spelled-out infinities, and rejects hex and doubled
+# underscores. The corpus reader must accept and reject exactly what it does.
+_AWKWARD_TOKENS = ["1_0", "1.5\r", "\xa02", "١٢", "Infinity", "1e400", "0x10", "", "1__0", "-0.0"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_AWKWARD_TOKENS),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n "),
+                max_size=8),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+)
+def test_embedding_token_parses_as_python_float(tmp_path_factory, token):
+    path = tmp_path_factory.mktemp("token") / "corpus.tsv"
+    path.write_bytes(f"KHCORP1\tversion=1\td=1\np\tf\t1\t0\t{token}\n".encode())
+    try:
+        expect = float(token)
+    except ValueError:
+        with pytest.raises(ParseError, match="not a float"):
+            load_corpus(str(path))
+        return
+    if not math.isfinite(expect):
+        with pytest.raises(ParseError, match="non-finite"):
+            load_corpus(str(path))
+        return
+    (program,) = load_corpus(str(path))
+    got = program.functions[0].embedding[0]
+    assert struct.pack("<d", got) == struct.pack("<d", expect)

@@ -5,6 +5,7 @@ stacked functions of a whole corpus; each program's result must not depend
 on its neighbours, and must match an oracle built from the program alone.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binsketch import semantic, structural
-from binsketch.corpus import FunctionRecord, ProgramRecord
+from binsketch.corpus import FunctionRecord, ProgramRecord, stack_embeddings
 from binsketch.kmeans import CentroidModel, classify
 
 K, D, M = 2048, 16, 1 << 10
@@ -69,6 +70,41 @@ def _oracle_bits(labels):
 
 @settings(max_examples=150, deadline=None)
 @given(_CORPUS)
+def test_stack_embeddings_drops_exactly_the_zero_rows(spec):
+    programs = _programs(spec)
+    functions, X, owner = stack_embeddings(programs)
+    kept = [(i, fn) for i, p in enumerate(programs) for fn in p.functions if fn.embedding.any()]
+    assert [id(fn) for fn in functions] == [id(fn) for _, fn in kept]
+    assert owner.dtype == np.int64
+    assert owner.tolist() == [i for i, _ in kept]
+    assert X.dtype == np.float64
+    assert X.shape == (len(kept), D if any(spec) else 0)
+    for row, (_, fn) in zip(X, kept):
+        assert np.array_equal(row, fn.embedding)
+
+
+def test_rows_whose_norm_underflows_are_dropped_for_both_sketches(caplog):
+    tiny = FunctionRecord("tiny", np.full(D, 1e-170), loc=3, nos=1)
+    assert tiny.embedding.any() and np.linalg.norm(tiny.embedding) == 0.0
+    keep = FunctionRecord("keep", CENTROIDS[3], loc=1, nos=0)
+    zero = FunctionRecord("zero", np.zeros(D), loc=1, nos=0)
+    programs = [ProgramRecord("a", [tiny, keep]), ProgramRecord("b", [zero])]
+    with caplog.at_level(logging.WARNING, logger="binsketch.corpus"):
+        functions, X, owner = stack_embeddings(programs)
+    assert [r.getMessage() for r in caplog.records] == ["skipped 2 zero-norm functions"]
+    assert functions == [keep]
+    assert owner.tolist() == [0]
+    assert np.array_equal(X, CENTROIDS[3][np.newaxis, :])
+    alone = ProgramRecord("a", [keep])
+    cfg = semantic.WeightConfig()
+    assert structural.hash_program(programs[0], MODEL, HASHER) == structural.hash_program(
+        alone, MODEL, HASHER
+    )
+    assert semantic.hash_program(programs[0], cfg) == semantic.hash_program(alone, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CORPUS)
 def test_structural_corpus_equals_each_program(spec):
     programs = _programs(spec)
     got = structural.hash_programs(programs, MODEL, HASHER)
@@ -93,10 +129,9 @@ def test_semantic_corpus_equals_each_program(spec, mode):
     got = semantic.hash_programs(programs, cfg, d=D)
     each = [semantic.hash_program(p, cfg, d=D) for p in programs]
     assert [g.values.tobytes() for g in got] == [e.values.tobytes() for e in each]
-    assert [g.degenerate for g in got] == [e.degenerate for e in each]
     for pooled, program in zip(got, programs):
         usable = [fn for fn in program.functions if fn.embedding.any()]
-        assert pooled.degenerate == (not usable)
+        assert pooled.values.any() == bool(usable)
         for comp in range(D):
             terms = [
                 semantic.weight(fn.loc, fn.nos, cfg)

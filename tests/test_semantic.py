@@ -129,18 +129,17 @@ class TestHashProgram:
         keep = FunctionRecord("f0", np.array([3.0, 4.0]), loc=10, nos=2)
         zero = FunctionRecord("f1", np.array([0.0, 0.0]), loc=99, nos=9)
         prog = ProgramRecord("p", [keep, zero])
-        with caplog.at_level(logging.WARNING, logger="binsketch.semantic"):
+        with caplog.at_level(logging.WARNING, logger="binsketch.corpus"):
             got = hash_program(prog, WeightConfig())
-        assert any("zero-norm" in r.message for r in caplog.records)
+        assert any("skipped 1 zero-norm functions" in r.message for r in caplog.records)
         w = weight(10, 2, WeightConfig())
         expect = w * np.array([0.6, 0.8])  # q=1, only the usable function
         assert np.allclose(got.values, expect, atol=1e-6)
-        assert not got.degenerate
+        assert got.values.any()
 
     def test_all_zero_program_is_degenerate(self):
         prog = ProgramRecord("p", [FunctionRecord("f", np.zeros(3), loc=1, nos=1)])
         got = hash_program(prog, WeightConfig())
-        assert got.degenerate
         assert not got.values.any()
         assert got.d == 3
 
@@ -149,7 +148,7 @@ class TestHashProgram:
         with pytest.raises(ValidationError):
             hash_program(prog, WeightConfig())
         got = hash_program(prog, WeightConfig(), d=6)
-        assert got.degenerate
+        assert not got.values.any()
         assert got.d == 6
 
     def test_mixed_dimensions_rejected(self):
