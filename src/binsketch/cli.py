@@ -24,6 +24,7 @@ from . import contrastive, kmeans, metrics, search, semantic, structural, synth
 from .corpus import (
     load_corpus,
     load_embeddings,
+    read_sketches,
     save_corpus,
     save_semantic,
     save_structural,
@@ -186,9 +187,8 @@ def cmd_hash(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_index_search(args, cfg: PipelineConfig) -> int:
-    _, repo_entries = load_embeddings(args.repo_emb)
+    repo = search.load_index(args.repo_emb)
     _, query_entries = load_embeddings(args.query_emb)
-    repo = search.build(repo_entries)
     k = _pick(args.k, cfg.k)
     results = search.batch_search(
         repo, [emb for _, emb in query_entries], k=k, workers=args.workers
@@ -205,8 +205,7 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     class_map = metrics.load_class_map(args.class_map)
     repo_ids = None
     if args.repo_emb:
-        _, repo_entries = load_embeddings(args.repo_emb)
-        repo_ids = [pid for pid, _ in repo_entries]
+        repo_ids = read_sketches(args.repo_emb)[1]
     k = _pick(args.k, cfg.k)
     judgments, excluded = metrics.judgments_from_results(
         results, class_map, k=k, repo_ids=repo_ids

@@ -74,6 +74,7 @@ def loss(batch: PairedBatch) -> float:
 
     Zero exactly when each row and column softmax puts all mass on the
     diagonal; for N=1 both softmaxes see a single logit, so the loss is 0.
+    A temperature large enough to overflow the sum gives inf, silently.
     """
     X, _ = _unit_rows(batch.source)
     Y, _ = _unit_rows(batch.pseudo)
@@ -81,7 +82,8 @@ def loss(batch: PairedBatch) -> float:
     diag = np.diag(tS)
     row = _logsumexp_rows(tS) - diag
     col = _logsumexp_rows(tS.T) - diag
-    return float((row.sum() + col.sum()) / (2 * batch.n))
+    with np.errstate(over="ignore"):
+        return float((row.sum() + col.sum()) / (2 * batch.n))
 
 
 def loss_grad(batch: PairedBatch) -> Gradients:

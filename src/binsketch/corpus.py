@@ -413,12 +413,13 @@ def write_records(
 
 def read_records(
     path: str, magic: bytes, payload_size: Callable[[int], int]
-) -> tuple[int, list[str], list[memoryview]]:
+) -> tuple[int, list[str], np.ndarray]:
     """Read a container written by :func:`write_records`.
 
-    Returns ``param``, the ids and the payloads of ``payload_size(param)``
-    bytes each, as views into the file buffer (no copy). The record count
-    is checked against the file size before anything is allocated.
+    Returns ``param``, the ids, and the payloads as the rows of one
+    (count, ``payload_size(param)``) uint8 matrix, copied out of the file
+    buffer in one gather. The record count is checked against the file
+    size before anything is allocated.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -432,9 +433,8 @@ def read_records(
     size = payload_size(param)
     if count * (4 + size) > len(data) - pos:
         raise truncated
-    view = memoryview(data)
     ids: list[str] = []
-    payloads: list[memoryview] = []
+    starts: list[int] = []
     for left in range(count - 1, -1, -1):
         # Each record still to come needs at least 4 + size bytes, so the
         # length prefix at ``pos`` is always inside the file.
@@ -447,10 +447,15 @@ def read_records(
             ids.append(data[start:end].decode("utf-8"))
         except UnicodeDecodeError:
             raise FormatError(f"{path}: id is not valid UTF-8") from None
-        payloads.append(view[end:pos])
+        starts.append(end)
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
-    return param, ids, payloads
+    if not (count and size):
+        return param, ids, np.zeros((count, size), dtype=np.uint8)
+    # Row i of the window view starts at byte i: indexing it by the payload
+    # offsets copies every payload into one matrix.
+    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, dtype=np.uint8), size)
+    return param, ids, windows[np.array(starts)]
 
 
 def _shared(entries: Sequence[tuple[str, object]], name: str, value: int | None) -> int:
@@ -474,14 +479,33 @@ def save_structural(
     write_records(path, STRUCTURAL_MAGIC, m, entries, StructuralEmbedding.to_bytes)
 
 
-def load_structural(path: str) -> list[tuple[str, StructuralEmbedding]]:
-    m, ids, payloads = read_records(path, STRUCTURAL_MAGIC, lambda m: (m + 7) // 8)
+def read_structural(path: str) -> tuple[list[str], np.ndarray, int]:
+    """The ids of a KHSTRU1 file, its rows as one packed (N, words) uint64
+    matrix (no per-row objects), and m."""
+    m, ids, raw = read_records(path, STRUCTURAL_MAGIC, lambda m: (m + 7) // 8)
     if m < 1:
         raise FormatError(f"{path}: bit-vector length must be >= 1, got {m}")
-    try:
-        return [(pid, StructuralEmbedding.from_bytes(raw, m)) for pid, raw in zip(ids, payloads)]
-    except ValidationError as exc:  # padding bits past m are set
-        raise FormatError(f"{path}: {exc}") from None
+    if m % 8 and (raw[:, -1] >> (m % 8)).any():
+        raise FormatError(f"{path}: padding bits past m must be zero")
+    pad = -raw.shape[1] % 8
+    if pad:
+        raw = np.concatenate([raw, np.zeros((len(ids), pad), dtype=np.uint8)], axis=1)
+    return ids, raw.view("<u8").astype(np.uint64, copy=False), m
+
+
+def load_structural(path: str) -> list[tuple[str, StructuralEmbedding]]:
+    ids, words, m = read_structural(path)
+    return [(pid, StructuralEmbedding(row, m)) for pid, row in zip(ids, words)]
+
+
+def _kind(path: str) -> str:
+    with open(path, "rb") as fh:
+        head = fh.read(len(STRUCTURAL_MAGIC))
+    if head.startswith(STRUCTURAL_MAGIC):
+        return "structural"
+    if head.startswith(SEMANTIC_MAGIC):
+        return "semantic"
+    raise FormatError(f"{path}: unrecognized magic {head!r}")
 
 
 def load_embeddings(path: str):
@@ -489,13 +513,16 @@ def load_embeddings(path: str):
 
     Returns ("structural", entries) or ("semantic", entries).
     """
-    with open(path, "rb") as fh:
-        head = fh.read(len(STRUCTURAL_MAGIC))
-    if head.startswith(STRUCTURAL_MAGIC):
-        return "structural", load_structural(path)
-    if head.startswith(SEMANTIC_MAGIC):
-        return "semantic", load_semantic(path)
-    raise FormatError(f"{path}: unrecognized magic {head!r}")
+    kind = _kind(path)
+    return kind, (load_structural if kind == "structural" else load_semantic)(path)
+
+
+def read_sketches(path: str) -> tuple[str, list[str], np.ndarray, int]:
+    """Decode either embedding container into ids plus one matrix, sniffing
+    the magic: ("structural", ids, words, m) or ("semantic", ids, values, d).
+    """
+    kind = _kind(path)
+    return kind, *(read_structural if kind == "structural" else read_semantic)(path)
 
 
 def save_semantic(
@@ -507,12 +534,19 @@ def save_semantic(
     )
 
 
-def load_semantic(path: str) -> list[tuple[str, SemanticEmbedding]]:
-    d, ids, payloads = read_records(path, SEMANTIC_MAGIC, lambda d: 4 * d)
+def read_semantic(path: str) -> tuple[list[str], np.ndarray, int]:
+    """The ids of a KHSEM1 file, its rows as one (N, d) float32 matrix (no
+    per-row objects), and d."""
+    d, ids, raw = read_records(path, SEMANTIC_MAGIC, lambda d: 4 * d)
     if d < 1:
         raise FormatError(f"{path}: dimension must be >= 1, got {d}")
-    rows = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(ids), d).copy()
+    rows = raw.view("<f4").astype(np.float32, copy=False)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise FormatError(f"{path}: entry {ids[int(np.argmin(finite))]!r} has non-finite values")
+    return ids, rows, d
+
+
+def load_semantic(path: str) -> list[tuple[str, SemanticEmbedding]]:
+    ids, rows, _ = read_semantic(path)
     return [(pid, SemanticEmbedding(row)) for pid, row in zip(ids, rows)]

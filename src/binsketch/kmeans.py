@@ -72,6 +72,29 @@ class LabelAssignment:
     zero_norm: np.ndarray
 
 
+def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows of a float64 matrix divided by their Euclidean norms, into
+    ``out`` (a new array by default); a zero-norm row comes out zero.
+
+    A row whose norm overflows float64 (coordinates near 1e154 or larger)
+    is divided by its largest magnitude first, so it keeps its direction
+    instead of collapsing to zero. Every other row gets exactly
+    ``X / np.linalg.norm(X, axis=1)``.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)[:, np.newaxis]
+    huge = np.flatnonzero(np.isinf(norms[:, 0]))
+    if huge.size:  # read before ``out``, which may be X itself, is written
+        scaled = X[huge] / np.abs(X[huge]).max(axis=1, keepdims=True)
+        scaled /= np.linalg.norm(scaled, axis=1, keepdims=True)
+    if out is None:
+        out = np.zeros_like(X)
+    np.divide(X, norms, out=out, where=norms > 0.0)
+    if huge.size:
+        out[huge] = scaled
+    return out
+
+
 def _check_matrix(X: np.ndarray, what: str) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -148,12 +171,10 @@ def train(
     X = _check_matrix(embeddings, "training embeddings")
     if X.shape[0] == 0:
         raise ValidationError("training set is empty")
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        raise ValidationError(
-            f"{int((norms == 0.0).sum())} training embeddings have zero norm"
-        )
-    Xn = X / norms[:, np.newaxis]
+    Xn = unit_rows(X)
+    zero = ~Xn.any(axis=1)
+    if zero.any():
+        raise ValidationError(f"{int(zero.sum())} training embeddings have zero norm")
     distinct = np.unique(Xn, axis=0).shape[0]
     if n_clusters > distinct:
         raise ConfigError(
@@ -197,7 +218,8 @@ def train(
 def classify(model: CentroidModel, embeddings: np.ndarray) -> LabelAssignment:
     """Assign each embedding to its nearest centroid by cosine similarity.
 
-    Classification is scale invariant. Zero-norm rows get label 0 and are
+    Classification is scale invariant, up to rows whose norm overflows
+    (see :func:`unit_rows`). Zero-norm rows get label 0 and are
     flagged in the returned assignment.
     """
     X = _check_matrix(embeddings, "embeddings")
@@ -205,9 +227,8 @@ def classify(model: CentroidModel, embeddings: np.ndarray) -> LabelAssignment:
         raise ValidationError(
             f"embeddings have dimension {X.shape[1]}, model expects {model.d}"
         )
-    norms = np.linalg.norm(X, axis=1)
-    zero = norms == 0.0
-    Xn = np.divide(X, norms[:, np.newaxis], out=np.zeros_like(X), where=~zero[:, np.newaxis])
+    Xn = unit_rows(X)
+    zero = ~Xn.any(axis=1)
     labels, _ = _assign(Xn, model.centroids.astype(np.float64))
     if np.any(zero):
         labels[zero] = 0
@@ -240,5 +261,4 @@ def load_model(path: str) -> CentroidModel:
     for idx, name in enumerate(ids):
         if name != str(idx):
             raise FormatError(f"{path}: centroid {idx} has unexpected id {name!r}")
-    rows = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(ids), d)
-    return CentroidModel(centroids=rows)
+    return CentroidModel(centroids=payloads.view("<f4"))

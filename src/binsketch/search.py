@@ -5,6 +5,11 @@ structural bit-vectors, cosine for semantic vectors) and the top k
 survive; ranking ties break toward the lexicographically smaller program
 id, so results are stable. No approximation.
 
+The top k are selected, not sorted out of all N scores (:func:`top_k`).
+Rows at the lowest score are set aside, the rest are partitioned at the
+k-th best score, and at most k candidates are sorted. The result is
+exactly the first k of a stable descending sort.
+
 A structural index picks its Jaccard kernel once, when it is built. If the
 repository holds fewer set bits in total than it has packed words, it keeps
 per-bit posting lists and counts each row's intersection with a query from
@@ -15,6 +20,16 @@ and scans them with AND and popcount. Both kernels count the same integers
 and turn them into scores with the same float64 division, so the choice
 never changes a score or a rank; rows that share no bit with the query
 simply score 0 (or 1.0 when both are empty).
+
+:func:`batch_search` spreads queries over threads only for the dense word
+scan, whose AND and popcount over the whole matrix release the GIL. The
+posting-list and cosine kernels are short numpy calls that hold it, so
+threads only contend there; their queries run in order on the calling
+thread.
+
+An index is built from ids plus one matrix (``from_matrix``), which
+:func:`load_index` decodes straight from a ``.stru`` or ``.sem`` file;
+:func:`build` is the adapter for a list of embedding objects.
 """
 
 from __future__ import annotations
@@ -26,9 +41,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SemanticEmbedding, StructuralEmbedding, check_field, read_lines
+from .corpus import (
+    SemanticEmbedding,
+    StructuralEmbedding,
+    check_field,
+    read_lines,
+    read_sketches,
+)
 from .errors import ConfigError, ParseError, ValidationError
-from .structural import Postings, build_postings, jaccard_many, pack_rows
+from .kmeans import unit_rows
+from .structural import Postings, build_postings, jaccard_many
 
 Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
 
@@ -44,12 +66,25 @@ class SearchResult:
     hits: list[Hit] = field(default_factory=list)
 
 
+def _id_order(ids: Sequence[str]) -> tuple[list[str], np.ndarray | None]:
+    """The ids in ascending order and the row order that sorts them (None
+    when they already are); a repeated id is rejected."""
+    ids = list(ids)
+    if all(a < b for a, b in zip(ids, ids[1:])):
+        return ids, None
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = [ids[i] for i in order]
+    if any(a == b for a, b in zip(ids, ids[1:])):
+        raise ValidationError("duplicate program_id in repository entries")
+    return ids, np.array(order, dtype=np.int64)
+
+
 @dataclass(eq=False)
 class StructuralIndex:
     """Bit-vector rows scored by Jaccard.
 
     ``rows`` holds either the packed (N, words) uint64 matrix or its
-    :class:`~binsketch.structural.Postings`, as :func:`build` chose;
+    :class:`~binsketch.structural.Postings`, as :meth:`from_matrix` chose;
     ``pops`` holds the per-row popcounts.
     """
 
@@ -57,6 +92,24 @@ class StructuralIndex:
     rows: np.ndarray | Postings
     pops: np.ndarray
     m: int
+
+    @classmethod
+    def from_matrix(cls, ids: Sequence[str], words: np.ndarray, m: int) -> "StructuralIndex":
+        """Index packed (N, words) rows, stored in ascending id order."""
+        ids, order = _id_order(ids)
+        pops = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        # A query's postings are a subset of the index's, so with fewer set
+        # bits than packed words the sparse kernel never reads more posting
+        # entries than the dense scan reads words.
+        if pops.sum() < words.size:
+            rank = None
+            if order is not None:
+                rank = np.empty_like(order)
+                rank[order] = np.arange(order.size)
+            rows = build_postings(words, m, rank)
+        else:
+            rows = words if order is None else words[order]
+        return cls(ids, rows, pops if order is None else pops[order], m)
 
     def __len__(self) -> int:
         return len(self.program_ids)
@@ -80,6 +133,13 @@ class SemanticIndex:
     unit: np.ndarray
     d: int
 
+    @classmethod
+    def from_matrix(cls, ids: Sequence[str], values: np.ndarray) -> "SemanticIndex":
+        """Index (N, d) float32 rows, stored in ascending id order."""
+        ids, order = _id_order(ids)
+        V = (values if order is None else values[order]).astype(np.float64)
+        return cls(ids, unit_rows(V), d=values.shape[1])
+
     def __len__(self) -> int:
         return len(self.program_ids)
 
@@ -101,41 +161,59 @@ Index = StructuralIndex | SemanticIndex
 def build(entries: Sequence[Entry]) -> Index:
     """Index a list of (program_id, embedding) pairs.
 
-    Rows are stored in ascending program id order, so a stable sort on
-    score alone breaks ties by id. A structural index keeps posting lists
-    when its rows hold fewer set bits than packed words, and the packed
-    words otherwise. An empty list gives an empty index that answers every
-    query with no hits.
+    The embeddings are stacked once into the matrix that ``from_matrix``
+    indexes. An empty list gives an empty index that answers every query
+    with no hits.
     """
-    entries = sorted(entries, key=lambda entry: entry[0])
     ids = [pid for pid, _ in entries]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate program_id in repository entries")
     embeddings = [emb for _, emb in entries]
     kinds = {type(emb) for emb in embeddings}
     if kinds <= {StructuralEmbedding}:
         ms = {emb.m for emb in embeddings}
         if len(ms) > 1:
             raise ValidationError(f"mixed bit-vector lengths in repository: {sorted(ms)}")
-        m = ms.pop() if ms else 0
-        words, pops = pack_rows(embeddings)
-        # A query's postings are a subset of the index's, so with fewer set
-        # bits than packed words the sparse kernel never reads more posting
-        # entries than the dense scan reads words.
-        rows = build_postings(words, m) if pops.sum() < words.size else words
-        return StructuralIndex(ids, rows, pops, m)
+        if not embeddings:
+            return StructuralIndex.from_matrix([], np.empty((0, 0), dtype=np.uint64), 0)
+        return StructuralIndex.from_matrix(ids, np.stack([e.words for e in embeddings]), ms.pop())
     if kinds == {SemanticEmbedding}:
         ds = {emb.d for emb in embeddings}
         if len(ds) > 1:
             raise ValidationError(f"mixed dimensions in repository: {sorted(ds)}")
-        V = np.stack([emb.values for emb in embeddings]).astype(np.float64)
-        norms = np.linalg.norm(V, axis=1)
-        nonzero = norms > 0.0
-        unit = np.divide(
-            V, norms[:, np.newaxis], out=np.zeros_like(V), where=nonzero[:, np.newaxis]
-        )
-        return SemanticIndex(ids, unit, d=ds.pop())
+        return SemanticIndex.from_matrix(ids, np.stack([e.values for e in embeddings]))
     raise ValidationError("repository entries mix structural and semantic embeddings")
+
+
+def load_index(path: str) -> Index:
+    """Index a ``.stru`` or ``.sem`` file from its decoded matrix, with no
+    per-row objects."""
+    kind, ids, rows, param = read_sketches(path)
+    if kind == "structural":
+        return StructuralIndex.from_matrix(ids, rows, param)
+    return SemanticIndex.from_matrix(ids, rows)
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest scores, best first, ties by ascending index:
+    exactly ``np.argsort(-scores, kind="stable")[:k]`` for scores without
+    NaN (both kernels give finite scores), found by selection.
+
+    Rows at the lowest score can only fill the tail, in index order, so they
+    are set aside first; Jaccard scores put most rows there. The rest are
+    partitioned at the k-th best score: the rows above it are sorted (fewer
+    than k), and the rows tied at it follow in index order.
+    """
+    if k >= scores.size:
+        return np.argsort(-scores, kind="stable")
+    low = scores.min()
+    rest = np.flatnonzero(scores > low)
+    if rest.size > k:
+        values = scores[rest]
+        kth = np.partition(values, rest.size - k)[rest.size - k]
+        best, tied = rest[values > kth], rest[values == kth]
+    else:
+        best, tied = rest, np.flatnonzero(scores == low)
+    best = best[np.argsort(-scores[best], kind="stable")]
+    return np.concatenate([best, tied[: k - best.size]])
 
 
 def search(repo: Index, query, k: int) -> SearchResult:
@@ -145,8 +223,9 @@ def search(repo: Index, query, k: int) -> SearchResult:
     if len(repo) == 0:
         return SearchResult()
     scores = repo.scores(query)
-    top = np.argsort(-scores, kind="stable")[:k]
-    return SearchResult([Hit(repo.program_ids[i], float(scores[i])) for i in top])
+    top = top_k(scores, k)
+    ids = repo.program_ids
+    return SearchResult([Hit(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())])
 
 
 def batch_search(
@@ -154,12 +233,15 @@ def batch_search(
 ) -> list[SearchResult]:
     """Run :func:`search` for each query; output order follows input order.
 
-    Results are identical for any ``workers`` value, it only changes how
-    many scans run concurrently.
+    Only a dense structural index (packed words) uses ``workers`` threads;
+    the posting-list and cosine kernels hold the GIL, so their queries run
+    in order on the calling thread. Results are identical for any
+    ``workers`` value.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(queries) <= 1:
+    dense = isinstance(repo, StructuralIndex) and isinstance(repo.rows, np.ndarray)
+    if workers == 1 or len(queries) <= 1 or not dense:
         return [search(repo, q, k) for q in queries]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda q: search(repo, q, k), queries))

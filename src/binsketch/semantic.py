@@ -23,6 +23,7 @@ import numpy as np
 
 from .corpus import ProgramRecord, SemanticEmbedding, stack_embeddings
 from .errors import ConfigError, ValidationError
+from .kmeans import unit_rows
 
 MODES = ("full", "mean_pooling", "loc_only", "nos_only")
 
@@ -94,7 +95,7 @@ def hash_programs(
     stats = np.fromiter(
         ((fn.loc, fn.nos) for fn in functions), dtype=(np.float64, 2), count=len(functions)
     )
-    X /= np.linalg.norm(X, axis=1)[:, np.newaxis]
+    unit_rows(X, out=X)
     X *= weights_array(stats[:, 0], stats[:, 1], cfg)[:, np.newaxis]
     counts = np.bincount(owner, minlength=len(programs))
     pooled = np.zeros((len(programs), X.shape[1]))

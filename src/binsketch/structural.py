@@ -183,9 +183,15 @@ def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(positions)
 
 
-def build_postings(words: np.ndarray, m: int) -> Postings:
-    """Invert a packed (N, words) matrix into per-bit posting lists."""
+def build_postings(words: np.ndarray, m: int, rank: np.ndarray | None = None) -> Postings:
+    """Invert a packed (N, words) matrix into per-bit posting lists.
+
+    With ``rank``, row r is listed as ``rank[r]``: the postings of the rows
+    reordered by ``rank``, without reordering the matrix.
+    """
     row, pos = set_bits(words)
+    if rank is not None:
+        row = rank[row]
     order = np.lexsort((row, pos))
     offsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(pos, minlength=m), out=offsets[1:])
@@ -212,12 +218,3 @@ def jaccard_many(
         inter = np.bitwise_count(rows & query.words[np.newaxis, :]).sum(axis=1, dtype=np.int64)
     union = pops + query.popcount() - inter
     return np.where(union == 0, 1.0, inter / np.maximum(union, 1))
-
-
-def pack_rows(embeddings: list[StructuralEmbedding]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack packed words into a matrix and precompute row popcounts."""
-    if not embeddings:
-        return np.empty((0, 0), dtype=np.uint64), np.empty(0, dtype=np.int64)
-    words = np.stack([e.words for e in embeddings])
-    pops = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    return words, pops

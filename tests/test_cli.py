@@ -1,12 +1,17 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import binsketch
 from binsketch.cli import main
 from binsketch.corpus import load_embeddings, load_structural
-from binsketch.search import load_results
+from binsketch.search import load_index, load_results
+from binsketch.structural import Postings
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +195,23 @@ class TestDeterminism:
             )
         assert (d / "w1.tsv").read_bytes() == (d / "w4.tsv").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["stru", "sem"])
+    def test_one_and_two_workers_write_identical_hits(self, pipeline_dir, capsys, mode):
+        d = pipeline_dir
+        if mode == "stru":  # the posting-list kernel, which runs serially
+            assert isinstance(load_index(str(d / "repo.stru")).rows, Postings)
+        for workers in ("1", "2"):
+            code, _, err = run_cli(
+                capsys, "index-search",
+                "--repo-emb", str(d / f"repo.{mode}"),
+                "--query-emb", str(d / f"query.{mode}"),
+                "--k", "7", "--workers", workers,
+                "--out", str(d / f"w{workers}.tsv"),
+            )
+            assert code == 0, err
+        assert (d / "w1.tsv").read_bytes() == (d / "w2.tsv").read_bytes()
+        assert len(load_results(str(d / "w1.tsv"))) == 4
+
 
 class TestEvalHandExample:
     def test_printed_values(self, tmp_path, capsys):
@@ -338,6 +360,18 @@ class TestLossCheck:
         report = parse_report(out)
         assert report["max_rel_error"] == "nan"
         assert report["status"] == "fail"
+
+    def test_overflowing_loss_writes_no_numpy_warning(self):
+        # In a real process a RuntimeWarning goes to stderr with the numpy
+        # source line it points at; capsys would not see it.
+        src = os.path.dirname(os.path.dirname(binsketch.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "binsketch.cli", "loss-check", "--temperature", "1e308"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert parse_report(proc.stdout)["status"] == "fail"
+        assert proc.stderr == ""  # no RuntimeWarning and no numpy source line
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsketch.corpus import SemanticEmbedding, StructuralEmbedding
 from binsketch.errors import ConfigError, ParseError, ValidationError
@@ -10,6 +12,7 @@ from binsketch.search import (
     load_results,
     save_results,
     search,
+    top_k,
 )
 from binsketch.semantic import cosine
 from binsketch.structural import jaccard
@@ -131,6 +134,45 @@ class TestSearch:
         for pid, emb in entries[:3]:
             top = search(repo, emb, k=1).hits[0]
             assert top.score == 1.0
+
+
+# A few values, so most arrays are tie-heavy; -0.0 and 0.0 compare equal.
+_SCORES = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]), max_size=300)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SCORES.flatmap(lambda s: st.tuples(st.just(s), st.integers(1, len(s) + 20))))
+def test_top_k_equals_stable_argsort(case):
+    values, k = case
+    scores = np.array(values, dtype=np.float64)
+    expect = np.argsort(-scores, kind="stable")[:k]
+    got = top_k(scores, k)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == expect.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 120))
+def test_top_k_equals_stable_argsort_on_distinct_and_repeated_floats(seed, n, k):
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal(n)
+    scores[rng.random(n) < 0.3] = scores[0]
+    assert top_k(scores, k).tolist() == np.argsort(-scores, kind="stable")[:k].tolist()
+
+
+class TestTopK:
+    @pytest.mark.parametrize("kind", ["structural", "semantic"])
+    def test_all_zero_query_returns_lowest_ids(self, rng, kind):
+        if kind == "structural":
+            entries = structural_entries(rng, 30)
+            query = StructuralEmbedding(np.zeros(1024 // 64, dtype=np.uint64), 1024)
+        else:
+            entries = semantic_entries(rng, 30)
+            query = SemanticEmbedding(np.zeros(8, dtype=np.float32))
+        entries = entries[::-1]  # build sorts by id
+        got = search(build(entries), query, k=7).hits
+        assert [h.program_id for h in got] == sorted(pid for pid, _ in entries)[:7]
+        assert [h.score for h in got] == [0.0] * 7
 
 
 class TestBatchSearch:

@@ -12,10 +12,16 @@ from hypothesis import strategies as st
 
 from binsketch.corpus import StructuralEmbedding
 from binsketch.search import StructuralIndex, build, search
-from binsketch.structural import Postings, build_postings, jaccard_many, pack_rows, set_bits
+from binsketch.structural import Postings, build_postings, jaccard_many, set_bits
 
 # From empty to all-ones, with the sparse end drawn most often.
 DENSITIES = st.sampled_from([0.0, 0.0, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 1.0])
+
+
+def pack_rows(embeddings):
+    """Stacked packed words and row popcounts, as the dense kernel takes them."""
+    words = np.stack([e.words for e in embeddings])
+    return words, np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def _row(rng, m, density):

@@ -13,7 +13,6 @@ from binsketch.structural import (
     jaccard_many,
     labels_to_bitvector,
     mix64,
-    pack_rows,
 )
 
 from conftest import make_program
@@ -192,7 +191,8 @@ class TestJaccard:
             for _ in range(20)
         ]
         query = StructuralEmbedding.from_bits((rng.random(m) < 0.2).astype(np.uint8))
-        words, pops = pack_rows(embs)
+        words = np.stack([e.words for e in embs])
+        pops = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
         fast = jaccard_many(query, words, pops)
         slow = np.array([jaccard(query, e) for e in embs])
         assert np.array_equal(fast, slow)
