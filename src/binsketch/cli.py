@@ -3,11 +3,13 @@
 One binary, eight subcommands covering the whole pipeline: generate a
 synthetic corpus, train the centroid codebook, hash programs to structural
 or semantic embeddings, run top-k search, and score the results. Exit
-codes: 0 on success, 2 for usage/validation/config/format problems, 1 for
-anything else (a failed loss-check also exits 1).
+codes: 0 on success, 2 for any usage, config, validation, format or file
+problem (one ``error:`` line on stderr), 1 only for a failed loss-check or
+an internal fault.
 
-Defaults may be collected in a JSON config file passed via --config;
-explicit flags always win over the file.
+The shared settings (:class:`PipelineConfig`) are settled once, in
+:func:`main`: a flag beats ``--config``, which beats the default. Every
+command then reads them from the parsed flags alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .corpus import (
     save_structural,
     stack_embeddings,
 )
-from .errors import BinsketchError, ConfigError, FormatError, ValidationError
+from .errors import BinsketchError, ConfigError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -46,17 +48,17 @@ _WEIGHT_MODES = {
 class PipelineConfig:
     """File-configurable defaults shared by the subcommands."""
 
-    d: int = 32
+    d: int = synth.SynthConfig.d
     n_clusters: int = 1024
     iterations: int = kmeans.DEFAULT_ITERATIONS
     m: int = structural.DEFAULT_M
     seed_kmeans: int = 0
     seed_position: int = structural.DEFAULT_SEED_POSITION
     seed_sign: int = structural.DEFAULT_SEED_SIGN
-    alpha1: float = 0.4
-    alpha2: float = 5.0
-    beta1: float = 0.45
-    beta2: float = 1.0
+    alpha1: float = semantic.WeightConfig.alpha1
+    alpha2: float = semantic.WeightConfig.alpha2
+    beta1: float = semantic.WeightConfig.beta1
+    beta2: float = semantic.WeightConfig.beta2
     k: int = 100
 
     @classmethod
@@ -82,39 +84,17 @@ class PipelineConfig:
         return replace(defaults, **raw)
 
 
-def _pick(flag, fallback):
-    return fallback if flag is None else flag
-
-
-def _hasher(args, cfg: PipelineConfig) -> structural.FeatureHasher:
-    return structural.FeatureHasher(
-        m=_pick(args.m, cfg.m),
-        seed_position=_pick(args.seed_position, cfg.seed_position),
-        seed_sign=_pick(args.seed_sign, cfg.seed_sign),
-    )
-
-
-def _weight_config(args, cfg: PipelineConfig, mode: str) -> semantic.WeightConfig:
-    return semantic.WeightConfig(
-        alpha1=_pick(args.alpha1, cfg.alpha1),
-        alpha2=_pick(args.alpha2, cfg.alpha2),
-        beta1=_pick(args.beta1, cfg.beta1),
-        beta2=_pick(args.beta2, cfg.beta2),
-        mode=mode,
-    )
-
-
 def _emit(pairs) -> None:
     sys.stdout.write(metrics.format_report(dict(pairs)))
 
 
-def cmd_synth(args, cfg: PipelineConfig) -> int:
+def cmd_synth(args) -> int:
     spec = synth.SynthConfig(
         classes=args.classes,
         programs_per_class=args.programs_per_class,
         queries_per_class=args.queries_per_class,
         functions_per_program=args.functions_per_program,
-        d=_pick(args.d, cfg.d),
+        d=args.d,
         reuse=args.reuse,
         noise=args.noise,
     )
@@ -136,24 +116,19 @@ def cmd_synth(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_kmeans_train(args, cfg: PipelineConfig) -> int:
+def cmd_kmeans_train(args) -> int:
     _, X, _ = stack_embeddings(load_corpus(args.corpus))
     if not X.shape[0]:
         raise ValidationError(f"{args.corpus}: corpus has no non-zero-norm functions to train on")
     if args.sample < 0:
         raise ConfigError(f"--sample must be >= 0, got {args.sample}")
-    seed = _pick(args.seed, cfg.seed_kmeans)
+    seed = args.seed_kmeans
     if seed < 0:
         raise ConfigError(f"--seed (or seed_kmeans) must be >= 0, got {seed}")
     if args.sample and args.sample < X.shape[0]:
         rng = np.random.default_rng(seed)
         X = X[rng.choice(X.shape[0], size=args.sample, replace=False)]
-    model = kmeans.train(
-        X,
-        n_clusters=_pick(args.n_clusters, cfg.n_clusters),
-        iterations=_pick(args.iterations, cfg.iterations),
-        seed=seed,
-    )
+    model = kmeans.train(X, n_clusters=args.n_clusters, iterations=args.iterations, seed=seed)
     kmeans.save_model(model, args.out)
     _emit(
         [
@@ -167,48 +142,48 @@ def cmd_kmeans_train(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_hash(args, cfg: PipelineConfig) -> int:
+def cmd_hash(args) -> int:
     programs = load_corpus(args.corpus)
+    if not programs:
+        raise ValidationError(f"{args.corpus}: corpus has no programs to hash")
     ids = [prog.program_id for prog in programs]
     if args.mode == "stru":
         if not args.model:
             raise ConfigError("--mode stru requires --model")
         model = kmeans.load_model(args.model)
-        hasher = _hasher(args, cfg)
+        hasher = structural.FeatureHasher(args.m, args.seed_position, args.seed_sign)
         sketches = structural.hash_programs(programs, model, hasher)
         save_structural(list(zip(ids, sketches)), args.out, m=hasher.m)
     else:
-        if not programs:
-            raise ValidationError(f"{args.corpus}: corpus has no functions to pool")
-        wcfg = _weight_config(args, cfg, _WEIGHT_MODES[args.mode])
+        wcfg = semantic.WeightConfig(
+            args.alpha1, args.alpha2, args.beta1, args.beta2, mode=_WEIGHT_MODES[args.mode]
+        )
         save_semantic(list(zip(ids, semantic.hash_programs(programs, wcfg))), args.out)
     _emit([("programs", len(ids)), ("mode", args.mode)])
     return 0
 
 
-def cmd_index_search(args, cfg: PipelineConfig) -> int:
+def cmd_index_search(args) -> int:
     repo = search.load_index(args.repo_emb)
     _, query_entries = load_embeddings(args.query_emb)
-    k = _pick(args.k, cfg.k)
     results = search.batch_search(
-        repo, [emb for _, emb in query_entries], k=k, workers=args.workers
+        repo, [emb for _, emb in query_entries], k=args.k, workers=args.workers
     )
     search.save_results(
         [(pid, res) for (pid, _), res in zip(query_entries, results)], args.out
     )
-    _emit([("queries", len(query_entries)), ("repository", len(repo)), ("k", k)])
+    _emit([("queries", len(query_entries)), ("repository", len(repo)), ("k", args.k)])
     return 0
 
 
-def cmd_eval(args, cfg: PipelineConfig) -> int:
+def cmd_eval(args) -> int:
     results = search.load_results(args.results)
     class_map = metrics.load_class_map(args.class_map)
     repo_ids = None
     if args.repo_emb:
         repo_ids = read_sketches(args.repo_emb)[1]
-    k = _pick(args.k, cfg.k)
     judgments, excluded = metrics.judgments_from_results(
-        results, class_map, k=k, repo_ids=repo_ids
+        results, class_map, k=args.k, repo_ids=repo_ids
     )
     if not judgments:
         raise ValidationError("no scorable queries (all were excluded)")
@@ -216,9 +191,9 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         [
             ("queries", len(judgments)),
             ("excluded_queries", excluded),
-            ("k", k),
-            ("map_at_k", metrics.map_at_k(judgments, k)),
-            ("mp_at_k", metrics.mp_at_k(judgments, k)),
+            ("k", args.k),
+            ("map_at_k", metrics.map_at_k(judgments, args.k)),
+            ("mp_at_k", metrics.mp_at_k(judgments, args.k)),
         ]
     )
     return 0
@@ -236,7 +211,7 @@ def _labeled_functions(corpus_path: str, model: kmeans.CentroidModel):
     return list(zip(kmeans.classify(model, X).labels.tolist(), truth))
 
 
-def cmd_match_eval(args, cfg: PipelineConfig) -> int:
+def cmd_match_eval(args) -> int:
     model = kmeans.load_model(args.model)
     query_side = _labeled_functions(args.query_corpus, model)
     repo_side = _labeled_functions(args.repo_corpus, model)
@@ -254,7 +229,7 @@ def cmd_match_eval(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_loss_check(args, cfg: PipelineConfig) -> int:
+def cmd_loss_check(args) -> int:
     for flag, value, low in (("--n", args.n, 1), ("--d", args.d, 1), ("--seed", args.seed, 0)):
         if value < low:
             raise ConfigError(f"{flag} must be >= {low}, got {value}")
@@ -282,7 +257,7 @@ def cmd_loss_check(args, cfg: PipelineConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args, cfg: PipelineConfig) -> int:
+def cmd_bench(args) -> int:
     if args.queries < 1:
         raise ConfigError(f"--queries must be >= 1, got {args.queries}")
     _, entries = load_embeddings(args.repo_emb)
@@ -337,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--n-clusters", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, dest="seed_kmeans", metavar="SEED")
     p.add_argument(
         "--sample", type=int, default=0,
         help="train on this many randomly chosen functions (0 = all)",
@@ -413,16 +388,15 @@ def main(argv=None) -> int:
     )
     try:
         cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-        return args.func(args, cfg)
-    except (ConfigError, ValidationError, FormatError) as exc:
+        # The one precedence rule: a flag the command has and the user left
+        # unset takes the config value (or the default).
+        for name, value in asdict(cfg).items():
+            if hasattr(args, name) and getattr(args, name) is None:
+                setattr(args, name, value)
+        return args.func(args)
+    except (BinsketchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BinsketchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -242,6 +242,19 @@ def read_lines(path: str) -> list[str]:
     return lines
 
 
+def write_lines(path: str, lines: list[str]) -> None:
+    """Write each line and a newline as UTF-8; no lines give an empty file.
+
+    The text is encoded before the file is opened, so a line UTF-8 cannot
+    encode leaves no file behind.
+    """
+    payload = "\n".join(lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        if lines:
+            fh.write(payload)
+            fh.write(b"\n")
+
+
 def encode_id(value: str, what: str) -> bytes:
     """UTF-8 bytes of an id; a lone surrogate has none and is rejected."""
     try:
@@ -298,9 +311,7 @@ def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = No
             if prog.class_id is not None:
                 parts.append(f"class_id={prog.class_id}")
             lines.append("\t".join(parts))
-    payload = "\n".join(lines).encode("utf-8") + b"\n"
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_lines(path, lines)
 
 
 def _parse_int(token: str, what: str, line: int) -> int:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: configuration and validation problems
-(including unparseable input files) exit with status 2, anything else with 1.
+The CLI maps every one of these, and any ``OSError``, to exit status 2 with
+one ``error:`` line. Exit 1 is left for a failed loss-check and for internal
+faults.
 """
 
 

@@ -11,12 +11,13 @@ Cliff's delta gives a nonparametric effect size between two score samples.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import check_field, read_lines
+from .corpus import check_field, read_lines, write_lines
 from .errors import ParseError, ValidationError
 
 
@@ -107,23 +108,15 @@ def matching_eval_grouped(
     iff the classes agree, so all three set sizes reduce to products of
     group counts. Equivalent to matching_eval on the cartesian pair sets.
     """
-    def _count(side: Sequence[tuple[int, int]], key) -> dict:
-        counts: dict = {}
-        for item in side:
-            k = key(item)
-            counts[k] = counts.get(k, 0) + 1
-        return counts
+    q_label = Counter(label for label, _ in query_fns)
+    r_label = Counter(label for label, _ in repo_fns)
+    q_class = Counter(cls for _, cls in query_fns)
+    r_class = Counter(cls for _, cls in repo_fns)
+    q_both, r_both = Counter(query_fns), Counter(repo_fns)
 
-    q_label = _count(query_fns, lambda it: it[0])
-    r_label = _count(repo_fns, lambda it: it[0])
-    q_class = _count(query_fns, lambda it: it[1])
-    r_class = _count(repo_fns, lambda it: it[1])
-    q_both = _count(query_fns, lambda it: it)
-    r_both = _count(repo_fns, lambda it: it)
-
-    predicted = sum(n * r_label.get(lbl, 0) for lbl, n in q_label.items())
-    truth = sum(n * r_class.get(cls, 0) for cls, n in q_class.items())
-    intersection = sum(n * r_both.get(pair, 0) for pair, n in q_both.items())
+    predicted = sum(n * r_label[lbl] for lbl, n in q_label.items())
+    truth = sum(n * r_class[cls] for cls, n in q_class.items())
+    intersection = sum(n * r_both[pair] for pair, n in q_both.items())
     return _prf(intersection, predicted, truth)
 
 
@@ -195,10 +188,7 @@ def save_class_map(mapping: Mapping[str, str], path: str) -> None:
     for pid, cls in mapping.items():
         check_field(pid, "program id")
         check_field(cls, "class id")
-    lines = [f"{pid}\t{cls}" for pid, cls in mapping.items()]
-    payload = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_lines(path, [f"{pid}\t{cls}" for pid, cls in mapping.items()])
 
 
 def format_report(values: Mapping[str, float | int | str]) -> str:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .corpus import (
     check_field,
     read_lines,
     read_sketches,
+    write_lines,
 )
 from .errors import ConfigError, ParseError, ValidationError
 from .kmeans import unit_rows
@@ -55,8 +56,7 @@ from .structural import Postings, build_postings, jaccard_many
 Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(NamedTuple):
     program_id: str
     score: float
 
@@ -236,8 +236,10 @@ def batch_search(
     Only a dense structural index (packed words) uses ``workers`` threads;
     the posting-list and cosine kernels hold the GIL, so their queries run
     in order on the calling thread. Results are identical for any
-    ``workers`` value.
+    ``workers`` value. ``k`` is checked even when there are no queries.
     """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     dense = isinstance(repo, StructuralIndex) and isinstance(repo.rows, np.ndarray)
@@ -287,9 +289,7 @@ def save_results(results: Sequence[tuple[str, SearchResult]], path: str) -> None
         for rank, hit in enumerate(result.hits, start=1):
             check_field(hit.program_id, "program id")
             lines.append(f"{query_id}\t{rank}\t{hit.program_id}\t{hit.score:.6f}")
-    payload = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_lines(path, lines)
 
 
 def load_results(path: str) -> list[tuple[str, list[tuple[str, float]]]]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import binsketch
 from binsketch.cli import main
-from binsketch.corpus import load_embeddings, load_structural
+from binsketch.corpus import load_embeddings, load_structural, save_structural
 from binsketch.search import load_index, load_results
 from binsketch.structural import Postings
 
@@ -453,6 +454,38 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag,config", [("0", None), ("-5", None), (None, {"k": 0})])
+    def test_k_below_one_is_usage_error_without_queries(self, pipeline_dir, capsys, flag, config):
+        d = pipeline_dir
+        save_structural([], str(d / "none.stru"), m=1024)
+        argv = ["index-search", "--repo-emb", str(d / "repo.stru"),
+                "--query-emb", str(d / "none.stru"), "--out", str(d / "x.tsv")]
+        if flag is not None:
+            argv += ["--k", flag]
+        else:
+            (d / "cfg.json").write_text(json.dumps(config))
+            argv = ["--config", str(d / "cfg.json"), *argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: k must be >= 1, got {flag or config['k']}"]
+        assert not (d / "x.tsv").exists()
+
+    @pytest.mark.parametrize("model", ["model.km", "missing.km"])
+    @pytest.mark.parametrize("mode", ["stru", "sem"])
+    def test_corpus_without_programs_is_usage_error(self, pipeline_dir, capsys, mode, model):
+        d = pipeline_dir
+        corpus = d / "header_only.tsv"
+        corpus.write_bytes(b"KHCORP1\tversion=1\td=6\n")
+        code, out, err = run_cli(
+            capsys, "hash", "--corpus", str(corpus), "--mode", mode,
+            "--model", str(d / model), "--out", str(d / "x.emb"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {corpus}: corpus has no programs to hash"]
+        assert not (d / "x.emb").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "kmeans-train",
@@ -659,3 +692,96 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "--config", str(cfg), "loss-check")
         assert code == 2
         assert "unknown config" in err
+
+
+# field -> (subcommand under observation, config value, a different flag value).
+# The hash seeds are XORed into label ids 0..127, which seeds below 128 would
+# only permute.
+PRECEDENCE_CASES = [
+    ("d", "synth", 4, 5),
+    ("n_clusters", "kmeans-train", 4, 8),
+    ("iterations", "kmeans-train", 1, 4),
+    ("seed_kmeans", "kmeans-train", 1, 2),
+    ("m", "hash-stru", 1024, 2048),
+    ("seed_position", "hash-stru", 1000, 2000),
+    ("seed_sign", "hash-stru", 1000, 2000),
+    ("alpha1", "hash-sem", 0.2, 1.0),
+    ("alpha2", "hash-sem", 2.0, 7.0),
+    ("beta1", "hash-sem", 0.1, 0.9),
+    ("beta2", "hash-sem", 0.5, 3.0),
+    ("k", "index-search", 2, 3),
+    ("k", "eval", 1, 2),
+]
+
+
+class TestPrecedence:
+    """For every PipelineConfig field: a config value acts exactly like the
+    same flag, and a flag beats a different config value."""
+
+    _serial = itertools.count()
+
+    @staticmethod
+    def _argv(d, command, field, out):
+        # A flag the command needs here unless it is the one under test.
+        preset = {"kmeans-train": ["--n-clusters", "6"], "hash-stru": ["--m", "1024"]}
+        extra = [] if field in {"n_clusters", "m"} else preset.get(command, [])
+        return {
+            "synth": ["synth", "--classes", "2", "--programs-per-class", "2",
+                      "--functions-per-program", "4", "--out-repo", out,
+                      "--out-query", str(d / "unused.tsv")],
+            "kmeans-train": ["kmeans-train", "--corpus", str(d / "repo.tsv"), "--out", out],
+            "hash-stru": ["hash", "--corpus", str(d / "wide.tsv"), "--mode", "stru",
+                          "--model", str(d / "wide.km"), "--out", out],
+            "hash-sem": ["hash", "--corpus", str(d / "repo.tsv"), "--mode", "sem",
+                         "--out", out],
+            "index-search": ["index-search", "--repo-emb", str(d / "repo.stru"),
+                             "--query-emb", str(d / "query.stru"), "--out", out],
+            "eval": ["eval", "--results", str(d / "hits5.tsv"),
+                     "--class-map", str(d / "classes.tsv")],
+        }[command] + extra
+
+    def _observe(self, d, capsys, field, command, config=None, flag=None):
+        """Stdout and output bytes (None if none) of one successful run."""
+        n = next(self._serial)
+        out = d / f"obs{n}"
+        argv = self._argv(d, command, field, str(out))
+        if flag is not None:
+            argv += ["--seed" if field == "seed_kmeans" else "--" + field.replace("_", "-"),
+                     str(flag)]
+        if config is not None:
+            cfg = d / f"cfg{n}.json"
+            cfg.write_text(json.dumps({field: config}))
+            argv = ["--config", str(cfg), *argv]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return stdout, out.read_bytes() if out.exists() else None
+
+    @pytest.fixture
+    def d(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        # One program of ~128 distinct labels in m=1024 buckets: labels
+        # collide, so the sign seed decides which buckets cancel.
+        for argv in (
+            ["index-search", "--repo-emb", str(d / "repo.stru"),
+             "--query-emb", str(d / "query.stru"), "--k", "5", "--out", str(d / "hits5.tsv")],
+            ["synth", "--classes", "1", "--programs-per-class", "1", "--queries-per-class", "0",
+             "--functions-per-program", "200", "--d", "8",
+             "--out-repo", str(d / "wide.tsv"), "--out-query", str(d / "unused.tsv")],
+            ["kmeans-train", "--corpus", str(d / "wide.tsv"), "--n-clusters", "128",
+             "--iterations", "3", "--out", str(d / "wide.km")],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        return d
+
+    @pytest.mark.parametrize("field,command,value,other", PRECEDENCE_CASES)
+    def test_config_value_acts_like_the_flag(self, d, capsys, field, command, value, other):
+        by_config = self._observe(d, capsys, field, command, config=value)
+        assert by_config == self._observe(d, capsys, field, command, flag=value)
+        assert by_config != self._observe(d, capsys, field, command, flag=other)
+
+    @pytest.mark.parametrize("field,command,value,other", PRECEDENCE_CASES)
+    def test_flag_beats_config(self, d, capsys, field, command, value, other):
+        both = self._observe(d, capsys, field, command, config=value, flag=other)
+        assert both == self._observe(d, capsys, field, command, flag=other)
+        assert both != self._observe(d, capsys, field, command, flag=value)
