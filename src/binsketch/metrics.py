@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import check_field, read_lines, write_lines
+from .corpus import check_field, numbered_lines, write_lines
 from .errors import ParseError, ValidationError
 
 
@@ -173,7 +173,7 @@ def judgments_from_results(
 def load_class_map(path: str) -> dict[str, str]:
     """Read a program_id -> class_id map (one tab-separated pair per line)."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
+    for lineno, line in numbered_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}", lineno)

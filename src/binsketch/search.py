@@ -45,7 +45,7 @@ from .corpus import (
     SemanticEmbedding,
     StructuralEmbedding,
     check_field,
-    read_lines,
+    numbered_lines,
     read_sketches,
     write_lines,
 )
@@ -296,7 +296,7 @@ def load_results(path: str) -> list[tuple[str, list[tuple[str, float]]]]:
     """Read a results file back as (query_id, [(program_id, score), ...])."""
     grouped: list[tuple[str, list[tuple[str, float]]]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_lines(path), start=1):
+    for lineno, line in numbered_lines(path):
         fields = line.split("\t")
         if len(fields) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}", lineno)

@@ -62,13 +62,29 @@ def weights_array(locs: np.ndarray, noss: np.ndarray, cfg: WeightConfig) -> np.n
         raise ValidationError("loc and nos must be >= 0")
     if cfg.mode == "mean_pooling":
         return np.ones(np.broadcast(locs, noss).shape, dtype=np.float64)
-    loc_term = np.power(locs, cfg.alpha1) / cfg.alpha2
-    nos_term = np.power(noss, cfg.beta1) / cfg.beta2 + 1.0
-    if cfg.mode == "loc_only":
-        return loc_term + 1.0
-    if cfg.mode == "nos_only":
-        return nos_term
-    return loc_term + nos_term
+    # A tiny divisor or a large exponent overflows to inf, which would pool
+    # to NaN; it is refused here, naming the parameters, without a warning.
+    with np.errstate(over="ignore"):
+        loc_term = np.power(locs, cfg.alpha1) / cfg.alpha2
+        nos_term = np.power(noss, cfg.beta1) / cfg.beta2 + 1.0
+        if cfg.mode == "loc_only":
+            weights = loc_term + 1.0
+        elif cfg.mode == "nos_only":
+            weights = nos_term
+        else:
+            weights = loc_term + nos_term
+    if not np.isfinite(weights).all():
+        for term, name, a, b, unused in (
+            (loc_term, "loc", "alpha1", "alpha2", "nos_only"),
+            (nos_term, "nos", "beta1", "beta2", "loc_only"),
+        ):
+            if cfg.mode != unused and not np.isfinite(term).all():
+                raise ValidationError(
+                    f"the {name} weight term overflows float64 under "
+                    f"{a}={getattr(cfg, a)!r}, {b}={getattr(cfg, b)!r}"
+                )
+        raise ValidationError("the loc and nos weight terms sum past float64")
+    return weights
 
 
 def weight(loc: int, nos: int, cfg: WeightConfig) -> float:
@@ -101,8 +117,15 @@ def hash_programs(
     pooled = np.zeros((len(programs), X.shape[1]))
     full = counts > 0
     starts = (np.cumsum(counts) - counts)[full]
-    pooled[full] = np.add.reduceat(X, starts, axis=0) / counts[full, np.newaxis]
-    return [SemanticEmbedding(row) for row in pooled.astype(np.float32)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled[full] = np.add.reduceat(X, starts, axis=0) / counts[full, np.newaxis]
+        pooled = pooled.astype(np.float32)
+    if not np.isfinite(pooled).all():
+        raise ValidationError(
+            "a pooled vector exceeds the float32 range; "
+            f"the weights under alpha2={cfg.alpha2!r}, beta2={cfg.beta2!r} are too large"
+        )
+    return [SemanticEmbedding(row) for row in pooled]
 
 
 def hash_program(

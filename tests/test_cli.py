@@ -609,6 +609,40 @@ class TestExitCodes:
         assert code == 2
         assert err.splitlines() == [f"error: {flag[2:]} must be finite, got nan"]
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("beta2", 1e-308, "the nos weight term overflows float64 under "
+                              "beta1=0.45, beta2=1e-308"),
+            ("alpha2", 1e-308, "the loc weight term overflows float64 under "
+                               "alpha1=0.4, alpha2=1e-308"),
+            ("alpha2", 1e-40, "a pooled vector exceeds the float32 range"),
+        ],
+        ids=["beta2-weight", "alpha2-weight", "alpha2-float32"],
+    )
+    def test_overflowing_weight_is_one_error_line(self, pipeline_dir, name, value, message, via):
+        # A real process: numpy's RuntimeWarnings would reach its stderr,
+        # where capsys does not look.
+        out = pipeline_dir / "x.sem"
+        setting = ["--" + name, repr(value)]
+        if via == "config":
+            cfg = pipeline_dir / "cfg.json"
+            cfg.write_text(json.dumps({name: value}))
+            setting = ["--config", str(cfg)]
+        argv = ["hash", "--corpus", str(pipeline_dir / "repo.tsv"), "--mode", "sem",
+                "--out", str(out)]
+        argv = setting + argv if via == "config" else argv + setting
+        src = os.path.dirname(os.path.dirname(binsketch.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "binsketch.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_model_with_huge_record_count_is_usage_error(self, pipeline_dir, capsys):
         bad = pipeline_dir / "bad.km"
         raw = bytearray((pipeline_dir / "model.km").read_bytes())
