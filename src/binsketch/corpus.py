@@ -15,20 +15,14 @@ file byte for byte.
 The text readers (:func:`load_corpus` here, ``search.load_results`` and
 ``metrics.load_class_map``) stream their file through
 :func:`read_line_chunks`, about 64 KB of whole lines at a time, so a file is
-never held whole. :func:`load_corpus` checks each chunk column by column:
-one ``float()`` conversion of all its embedding tokens into one matrix,
-whose rows become the functions' embeddings. A chunk that fails a check is
-parsed again line by line, so every error names the same line with the same
-message as a line-by-line reader would. Within a chunk, bytes that are not
-UTF-8 are reported before any other error, since the chunk is decoded
+never held whole, and check it line by line. Within a chunk, bytes that are
+not UTF-8 are reported before any other error, since the chunk is decoded
 first; across chunks, the first error in file order is reported.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -44,10 +38,8 @@ STRUCTURAL_MAGIC = b"KHSTRU1"
 SEMANTIC_MAGIC = b"KHSEM1"
 
 # About how many bytes of a text file one chunk of lines holds: enough to
-# amortise the per-chunk calls, small enough that a chunk's split lines are
-# freed before the garbage collector promotes them (at 2 MB they are
-# promoted, and the extra full collections cost ~0.3 s of a ~3.3 s load of
-# a 108 MB corpus).
+# amortise the per-chunk read and decode, and small next to any file worth
+# streaming.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -355,9 +347,15 @@ def _parse_int(token: str, what: str, line: int) -> int:
         raise ParseError(f"{what} is not an integer: {token!r}", line) from None
 
 
-def _parse_header(line: str) -> int:
-    """The embedding dimension a ``KHCORP1`` header line declares."""
-    header = line.split("\t")
+def load_corpus(path: str) -> list[ProgramRecord]:
+    """Read a ``KHCORP1`` file line by line as :func:`read_line_chunks`
+    streams it; the first bad line raises :class:`ParseError`."""
+    lines = numbered_lines(path)
+    _, header_line = next(lines, (1, None))
+    if header_line is None:
+        raise ParseError("empty file, expected header", 1)
+
+    header = header_line.split("\t")
     if len(header) != 3 or header[0] != CORPUS_MAGIC:
         raise ParseError(f"bad header, expected {CORPUS_MAGIC!r}", 1)
     if header[1] != "version=1":
@@ -367,113 +365,52 @@ def _parse_header(line: str) -> int:
     d = _parse_int(header[2][2:], "d", 1)
     if d < 1:
         raise ParseError(f"embedding dimension must be >= 1, got {d}", 1)
-    return d
 
+    programs: list[ProgramRecord] = []
+    finished: set[str] = set()
+    current: ProgramRecord | None = None
+    for lineno, line in lines:
+        if line == "":
+            raise ParseError("empty line", lineno)
+        fields = line.split("\t")
+        if len(fields) < 5:
+            raise ParseError(f"expected at least 5 tab-separated fields, got {len(fields)}", lineno)
+        program_id, function_id, loc_tok, nos_tok, emb_tok = fields[:5]
 
-def _trailing(extras: list[str], lineno: int) -> tuple[int | None, str | None]:
-    """The optional ``class_label`` and ``class_id`` of a line's trailing fields."""
-    class_label: int | None = None
-    class_id: str | None = None
-    for extra in extras:
-        if extra.startswith("class_label="):
-            if class_label is not None:
-                raise ParseError("duplicate class_label field", lineno)
-            class_label = _parse_int(extra[len("class_label="):], "class_label", lineno)
-        elif extra.startswith("class_id="):
-            if class_id is not None:
-                raise ParseError("duplicate class_id field", lineno)
-            class_id = extra[len("class_id="):]
-        else:
-            raise ParseError(f"unknown trailing field {extra!r}", lineno)
-    return class_label, class_id
+        class_label: int | None = None
+        class_id: str | None = None
+        for extra in fields[5:]:
+            if extra.startswith("class_label="):
+                if class_label is not None:
+                    raise ParseError("duplicate class_label field", lineno)
+                class_label = _parse_int(extra[len("class_label="):], "class_label", lineno)
+            elif extra.startswith("class_id="):
+                if class_id is not None:
+                    raise ParseError("duplicate class_id field", lineno)
+                class_id = extra[len("class_id="):]
+            else:
+                raise ParseError(f"unknown trailing field {extra!r}", lineno)
 
+        tokens = emb_tok.split(" ")
+        if len(tokens) != d:
+            raise ParseError(f"expected {d} embedding values, got {len(tokens)}", lineno)
+        try:
+            # numpy converts each str with Python's float(): same tokens accepted.
+            emb = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            raise ParseError("embedding value is not a float", lineno) from None
 
-def _parse_line(line: str, lineno: int, d: int) -> tuple[str, str | None, FunctionRecord]:
-    """One corpus line as (program id, class id, function), checked on its own."""
-    if line == "":
-        raise ParseError("empty line", lineno)
-    fields = line.split("\t")
-    if len(fields) < 5:
-        raise ParseError(f"expected at least 5 tab-separated fields, got {len(fields)}", lineno)
-    program_id, function_id, loc_tok, nos_tok, emb_tok = fields[:5]
-    class_label, class_id = _trailing(fields[5:], lineno)
+        try:
+            fn = FunctionRecord(
+                function_id=function_id,
+                embedding=emb,
+                loc=_parse_int(loc_tok, "loc", lineno),
+                nos=_parse_int(nos_tok, "nos", lineno),
+                class_label=class_label,
+            )
+        except ValidationError as exc:
+            raise ParseError(str(exc), lineno) from None
 
-    tokens = emb_tok.split(" ")
-    if len(tokens) != d:
-        raise ParseError(f"expected {d} embedding values, got {len(tokens)}", lineno)
-    try:
-        # numpy converts each str with Python's float(): same tokens accepted.
-        emb = np.array(tokens, dtype=np.float64)
-    except ValueError:
-        raise ParseError("embedding value is not a float", lineno) from None
-
-    try:
-        fn = FunctionRecord(
-            function_id=function_id,
-            embedding=emb,
-            loc=_parse_int(loc_tok, "loc", lineno),
-            nos=_parse_int(nos_tok, "nos", lineno),
-            class_label=class_label,
-        )
-    except ValidationError as exc:
-        raise ParseError(str(exc), lineno) from None
-    return program_id, class_id, fn
-
-
-_FIRST_FIVE = operator.itemgetter(0, 1, 2, 3, 4)
-
-
-def _parse_chunk(
-    lines: list[str], first: int, d: int
-) -> tuple[Sequence[str], Sequence[str | None], list[FunctionRecord]] | None:
-    """The (program ids, class ids, functions) of a chunk of corpus lines,
-    checked column by column, or None if any line fails a check.
-
-    Every check is the one :func:`_parse_line` makes, so a chunk passes here
-    exactly when each of its lines passes there. All embedding tokens go
-    through one ``np.array(..., dtype=np.float64)`` (Python's ``float()`` on
-    each), and each function's embedding is a row view of the chunk matrix.
-    """
-    rows = [line.split("\t") for line in lines]
-    try:
-        pids, fids, loc_toks, nos_toks, embs = zip(*map(_FIRST_FIVE, rows))
-        locs = list(map(int, loc_toks))
-        noss = list(map(int, nos_toks))
-        if min(locs) < 0 or min(noss) < 0:
-            return None
-        if all(len(fields) == 5 for fields in rows):
-            labels = cids = [None] * len(rows)
-        else:
-            labels, cids = zip(*(
-                _trailing(fields[5:], lineno) for lineno, fields in enumerate(rows, first)
-            ))
-            if min((label for label in labels if label is not None), default=0) < 0:
-                return None
-        # With exactly d tokens on every line, the joined tokens fall into rows.
-        if [emb.count(" ") for emb in embs].count(d - 1) != len(embs):
-            return None
-        X = np.array(" ".join(embs).split(" "), dtype=np.float64).reshape(len(rows), d)
-    except (IndexError, ValueError, ParseError):
-        return None
-    if not np.isfinite(X).all():
-        return None
-    functions = []
-    for function_id, emb, loc, nos, label in zip(fids, X, locs, noss, labels):
-        # Already checked as a whole: skip FunctionRecord.__post_init__.
-        fn = object.__new__(FunctionRecord)
-        fn.function_id, fn.embedding, fn.loc, fn.nos, fn.class_label = (
-            function_id, emb, loc, nos, label
-        )
-        functions.append(fn)
-    return pids, cids, functions
-
-
-def _append_runs(programs: list[ProgramRecord], finished: set[str], rows) -> None:
-    """Group (line number, program id, class id, function) rows, in file
-    order, onto ``programs``; a program's lines must be one run that agrees
-    on its class id."""
-    current = programs[-1] if programs else None
-    for lineno, program_id, class_id, fn in rows:
         if current is None or program_id != current.program_id:
             if program_id in finished:
                 raise ParseError(f"program {program_id!r} appears in two separate runs", lineno)
@@ -487,33 +424,6 @@ def _append_runs(programs: list[ProgramRecord], finished: set[str], rows) -> Non
                     f"program {program_id!r} has conflicting class_id values", lineno
                 )
             current.functions.append(fn)
-
-
-def load_corpus(path: str) -> list[ProgramRecord]:
-    """Read a ``KHCORP1`` file in chunks of lines (see the module docstring).
-
-    A chunk is checked and converted column by column; a chunk that fails is
-    parsed again line by line, so the error names the first bad line.
-    """
-    chunks = read_line_chunks(path)
-    _, lines = next(chunks, (1, []))
-    if not lines:
-        raise ParseError("empty file, expected header", 1)
-    d = _parse_header(lines[0])
-    programs: list[ProgramRecord] = []
-    finished: set[str] = set()
-    for first, body in itertools.chain([(2, lines[1:])], chunks):
-        if not body:
-            continue
-        parsed = _parse_chunk(body, first, d)
-        if parsed is None:
-            rows = (
-                (lineno, *_parse_line(line, lineno, d))
-                for lineno, line in enumerate(body, start=first)
-            )
-        else:
-            rows = zip(itertools.count(first), *parsed)
-        _append_runs(programs, finished, rows)
     return programs
 
 

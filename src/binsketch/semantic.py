@@ -55,6 +55,13 @@ class WeightConfig:
             raise ConfigError("alpha1 and beta1 must be >= 0")
 
 
+def _params(cfg: WeightConfig) -> str:
+    return (
+        f"mode={cfg.mode}, alpha1={cfg.alpha1!r}, alpha2={cfg.alpha2!r}, "
+        f"beta1={cfg.beta1!r}, beta2={cfg.beta2!r}"
+    )
+
+
 def weights_array(locs: np.ndarray, noss: np.ndarray, cfg: WeightConfig) -> np.ndarray:
     locs = np.asarray(locs, dtype=np.float64)
     noss = np.asarray(noss, dtype=np.float64)
@@ -74,16 +81,7 @@ def weights_array(locs: np.ndarray, noss: np.ndarray, cfg: WeightConfig) -> np.n
         else:
             weights = loc_term + nos_term
     if not np.isfinite(weights).all():
-        for term, name, a, b, unused in (
-            (loc_term, "loc", "alpha1", "alpha2", "nos_only"),
-            (nos_term, "nos", "beta1", "beta2", "loc_only"),
-        ):
-            if cfg.mode != unused and not np.isfinite(term).all():
-                raise ValidationError(
-                    f"the {name} weight term overflows float64 under "
-                    f"{a}={getattr(cfg, a)!r}, {b}={getattr(cfg, b)!r}"
-                )
-        raise ValidationError("the loc and nos weight terms sum past float64")
+        raise ValidationError(f"the weights overflow float64 under {_params(cfg)}")
     return weights
 
 
@@ -121,10 +119,7 @@ def hash_programs(
         pooled[full] = np.add.reduceat(X, starts, axis=0) / counts[full, np.newaxis]
         pooled = pooled.astype(np.float32)
     if not np.isfinite(pooled).all():
-        raise ValidationError(
-            "a pooled vector exceeds the float32 range; "
-            f"the weights under alpha2={cfg.alpha2!r}, beta2={cfg.beta2!r} are too large"
-        )
+        raise ValidationError(f"a pooled vector exceeds the float32 range under {_params(cfg)}")
     return [SemanticEmbedding(row) for row in pooled]
 
 

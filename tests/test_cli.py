@@ -613,13 +613,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "name, value, message",
         [
-            ("beta2", 1e-308, "the nos weight term overflows float64 under "
-                              "beta1=0.45, beta2=1e-308"),
-            ("alpha2", 1e-308, "the loc weight term overflows float64 under "
-                               "alpha1=0.4, alpha2=1e-308"),
-            ("alpha2", 1e-40, "a pooled vector exceeds the float32 range"),
+            ("beta2", 1e-308, "the weights overflow float64 under mode=full, "
+                              "alpha1=0.4, alpha2=5.0, beta1=0.45, beta2=1e-308"),
+            ("alpha2", 1e-308, "the weights overflow float64 under mode=full, "
+                               "alpha1=0.4, alpha2=1e-308, beta1=0.45, beta2=1.0"),
+            ("alpha2", 1e-40, "a pooled vector exceeds the float32 range under mode=full, "
+                              "alpha1=0.4, alpha2=1e-40, beta1=0.45, beta2=1.0"),
+            # loc reaches 952 here: loc**20 is finite in float64 but not in float32.
+            ("alpha1", 20.0, "a pooled vector exceeds the float32 range under mode=full, "
+                             "alpha1=20.0, alpha2=5.0, beta1=0.45, beta2=1.0"),
         ],
-        ids=["beta2-weight", "alpha2-weight", "alpha2-float32"],
+        ids=["beta2-weight", "alpha2-weight", "alpha2-float32", "alpha1-float32"],
     )
     def test_overflowing_weight_is_one_error_line(self, pipeline_dir, name, value, message, via):
         # A real process: numpy's RuntimeWarnings would reach its stderr,
@@ -639,8 +643,7 @@ class TestExitCodes:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     def test_model_with_huge_record_count_is_usage_error(self, pipeline_dir, capsys):

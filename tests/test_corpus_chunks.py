@@ -55,7 +55,7 @@ def chunk_bytes(monkeypatch):
 
 def _in_later_chunk(path, lineno):
     """The chunk holding ``lineno`` is not the first and ``lineno`` is not its
-    first line: the chunk's bulk check fails part-way through it."""
+    first line: the defect sits part-way through a later chunk."""
     starts = _chunk_starts(path)
     assert len(starts) > 3
     assert lineno > starts[1] and lineno not in starts
