@@ -26,11 +26,11 @@ from . import contrastive, kmeans, metrics, search, semantic, structural, synth
 from .corpus import (
     load_corpus,
     load_embeddings,
-    read_sketches,
+    read_ids,
     save_corpus,
     save_semantic,
-    save_structural,
     stack_embeddings,
+    write_structural,
 )
 from .errors import BinsketchError, ConfigError, ValidationError
 
@@ -152,8 +152,7 @@ def cmd_hash(args) -> int:
             raise ConfigError("--mode stru requires --model")
         model = kmeans.load_model(args.model)
         hasher = structural.FeatureHasher(args.m, args.seed_position, args.seed_sign)
-        sketches = structural.hash_programs(programs, model, hasher)
-        save_structural(list(zip(ids, sketches)), args.out, m=hasher.m)
+        write_structural(args.out, ids, structural.sketch_blocks(programs, model, hasher), hasher.m)
     else:
         wcfg = semantic.WeightConfig(
             args.alpha1, args.alpha2, args.beta1, args.beta2, mode=_WEIGHT_MODES[args.mode]
@@ -181,7 +180,7 @@ def cmd_eval(args) -> int:
     class_map = metrics.load_class_map(args.class_map)
     repo_ids = None
     if args.repo_emb:
-        repo_ids = read_sketches(args.repo_emb)[1]
+        repo_ids = read_ids(args.repo_emb)
     judgments, excluded = metrics.judgments_from_results(
         results, class_map, k=args.k, repo_ids=repo_ids
     )

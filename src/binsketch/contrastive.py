@@ -55,7 +55,10 @@ class Gradients:
 
 
 def _unit_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(M, axis=1)
+    # A row that finite_difference_check perturbs by a huge step may have a
+    # norm beyond float64; it is inf, and the row comes out zero.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=1)
     return M / norms[:, np.newaxis], norms
 
 

@@ -18,14 +18,25 @@ The text readers (:func:`load_corpus` here, ``search.load_results`` and
 never held whole, and check it line by line. Within a chunk, bytes that are
 not UTF-8 are reported before any other error, since the chunk is decoded
 first; across chunks, the first error in file order is reported.
+
+The binary containers (these two and the centroid model, ``KHKM1``) share
+one codec: :func:`write_records` writes the ids plus blocks of payloads,
+and :class:`RecordBlocks` reads records in blocks of about 1 MB, so no
+reader needs the file whole. A block's records are checked as they are
+read (truncation, ids that are not UTF-8, trailing bytes after the last
+record), then its payloads (padding bits, non-finite values); across
+blocks, the first error in file order is reported. :func:`read_records`
+gathers every block into one matrix.
 """
 
 from __future__ import annotations
 
+import io
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +52,9 @@ SEMANTIC_MAGIC = b"KHSEM1"
 # amortise the per-chunk read and decode, and small next to any file worth
 # streaming.
 _CHUNK_BYTES = 1 << 16
+
+# About how many payload bytes one block of container records holds.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -427,75 +441,185 @@ def load_corpus(path: str) -> list[ProgramRecord]:
     return programs
 
 
+@dataclass(frozen=True)
+class RecordFormat:
+    """A fixed-record container: its magic, the name of its u32 header
+    parameter (checked to be >= 1), the payload bytes per record for a
+    parameter, and ``decode(path, param, ids, raw)``, which turns one block
+    of raw payloads (a uint8 row each) into the rows callers get, with the
+    checks that need the payload."""
+
+    magic: bytes
+    param: str
+    payload_size: Callable[[int], int]
+    decode: Callable[[str, int, list[str], np.ndarray], np.ndarray]
+
+
+def block_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes make one block of about
+    ``_BLOCK_BYTES`` (at least one)."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def write_records(
-    path: str,
-    magic: bytes,
-    param: int,
-    entries: Sequence[tuple[str, object]],
-    encode: Callable[[object], bytes],
+    path: str, fmt: RecordFormat, param: int, ids: Sequence[str], blocks: Iterable[np.ndarray]
 ) -> None:
     """Write a fixed-record container.
 
-    The layout is ``magic``, u32 ``param`` (m or d), u64 record count, then
-    per record a u32 length-prefixed UTF-8 id and ``encode(value)``, which
-    must be the same size for every record.
+    The layout is ``fmt.magic``, u32 ``param`` (m or d), u64 record count,
+    then per record a u32 length-prefixed UTF-8 id and its payload.
+    ``blocks`` yields the payloads in record order as uint8
+    (n, ``fmt.payload_size(param)``) arrays whose n sum to ``len(ids)``; they
+    may be computed while the file is written. The ids are encoded before
+    the file is opened, and a failure part-way removes the partial file.
     """
     if not 1 <= param < 1 << 32:
-        raise ValidationError(f"{magic.decode()} parameter must be in [1, 2**32), got {param}")
-    ids = [encode_id(pid, "id") for pid, _ in entries]
+        raise ValidationError(f"{fmt.magic.decode()} parameter must be in [1, 2**32), got {param}")
+    heads = [struct.pack("<I", len(raw)) + raw for raw in (encode_id(pid, "id") for pid in ids)]
+    size = fmt.payload_size(param)
     with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<IQ", param, len(entries)))
-        for encoded, (_, value) in zip(ids, entries):
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(encode(value))
-
-
-def read_records(
-    path: str, magic: bytes, payload_size: Callable[[int], int]
-) -> tuple[int, list[str], np.ndarray]:
-    """Read a container written by :func:`write_records`.
-
-    Returns ``param``, the ids, and the payloads as the rows of one
-    (count, ``payload_size(param)``) uint8 matrix, copied out of the file
-    buffer in one gather. The record count is checked against the file
-    size before anything is allocated.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(magic):
-        raise FormatError(f"{path}: bad magic, expected {magic!r}")
-    truncated = FormatError(f"{path}: truncated file")
-    pos = len(magic) + 12
-    if len(data) < pos:
-        raise truncated
-    param, count = struct.unpack_from("<IQ", data, len(magic))
-    size = payload_size(param)
-    if count * (4 + size) > len(data) - pos:
-        raise truncated
-    ids: list[str] = []
-    starts: list[int] = []
-    for left in range(count - 1, -1, -1):
-        # Each record still to come needs at least 4 + size bytes, so the
-        # length prefix at ``pos`` is always inside the file.
-        start = pos + 4
-        end = start + struct.unpack_from("<I", data, pos)[0]
-        pos = end + size
-        if pos + left * (4 + size) > len(data):
-            raise truncated
         try:
-            ids.append(data[start:end].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: id is not valid UTF-8") from None
-        starts.append(end)
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
-    if not (count and size):
-        return param, ids, np.zeros((count, size), dtype=np.uint8)
-    # Row i of the window view starts at byte i: indexing it by the payload
-    # offsets copies every payload into one matrix.
-    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, dtype=np.uint8), size)
-    return param, ids, windows[np.array(starts)]
+            fh.write(fmt.magic + struct.pack("<IQ", param, len(heads)))
+            pending = iter(heads)
+            done = 0
+            for block in blocks:
+                done += len(block)
+                if block.dtype != np.uint8 or block.shape[1:] != (size,) or done > len(heads):
+                    raise ValidationError(
+                        f"a payload block of shape {block.shape} does not fit "
+                        f"{len(heads)} records of {size} bytes"
+                    )
+                # The block comes first, so zip stops without taking a head.
+                for row, head in zip(block, pending):
+                    fh.write(head)
+                    fh.write(row)
+            if done != len(heads):
+                raise ValidationError(f"{done} payloads for {len(heads)} ids")
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
+class RecordBlocks:
+    """The records of a container written by :func:`write_records`, read in
+    blocks of :func:`block_rows` records.
+
+    Opening reads the header and checks the magic, the parameter and the
+    record count against the file size (from ``fstat``) before anything is
+    allocated; ``param``, ``count`` and ``size`` (payload bytes) are then
+    set. Iterating once yields ``(ids, rows)`` per block, ``rows`` decoded
+    by the format, and checks every record as it comes: truncation, ids
+    that are not UTF-8, trailing bytes after the last record, then the
+    block's payloads. The first fault in file order raises
+    :class:`FormatError`. The file closes when the iteration ends or fails,
+    or on :meth:`close`; use it as a context manager to stop early.
+    """
+
+    def __init__(self, path: str, fmt: RecordFormat):
+        self.path = path
+        self._format = fmt
+        # A block-sized buffer: one read call per block, not two per record.
+        self._fh = open(path, "rb", buffering=max(_BLOCK_BYTES, io.DEFAULT_BUFFER_SIZE))
+        try:
+            head = self._fh.read(len(fmt.magic) + 12)
+            if not head.startswith(fmt.magic):
+                raise FormatError(f"{path}: bad magic, expected {fmt.magic!r}")
+            if len(head) < len(fmt.magic) + 12:
+                raise self._truncated()
+            self.param, self.count = struct.unpack_from("<IQ", head, len(fmt.magic))
+            if self.param < 1:
+                raise FormatError(f"{path}: {fmt.param} must be >= 1, got {self.param}")
+            self.size = fmt.payload_size(self.param)
+            self._file_size = os.fstat(self._fh.fileno()).st_size
+            if self.count * (4 + self.size) > self._file_size - len(head):
+                raise self._truncated()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _truncated(self) -> FormatError:
+        return FormatError(f"{self.path}: truncated file")
+
+    def __enter__(self) -> "RecordBlocks":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __iter__(self) -> Iterator[tuple[list[str], np.ndarray]]:
+        fh, size = self._fh, self.size
+        left, end = self.count, fh.tell()
+        try:
+            while left:
+                raw = np.empty((min(block_rows(4 + size), left), size), dtype=np.uint8)
+                ids: list[str] = []
+                for row in raw:
+                    left -= 1
+                    length = int.from_bytes(fh.read(4), "little")
+                    end += 4 + length + size
+                    # Each record still to come needs at least 4 + size bytes,
+                    # so the next length prefix is always inside the file.
+                    if end + left * (4 + size) > self._file_size:
+                        raise self._truncated()
+                    try:
+                        ids.append(fh.read(length).decode("utf-8"))
+                    except UnicodeDecodeError:
+                        raise FormatError(f"{self.path}: id is not valid UTF-8") from None
+                    if fh.readinto(row) != size:  # the file shrank while read
+                        raise self._truncated()
+                if not left and end != self._file_size:
+                    raise FormatError(f"{self.path}: {self._file_size - end} trailing bytes")
+                yield ids, self._format.decode(self.path, self.param, ids, raw)
+        finally:
+            self.close()
+
+    def read_all(self) -> tuple[list[str], np.ndarray]:
+        """Every id, and every row in one matrix filled block by block."""
+        empty = self._format.decode(self.path, self.param, [], np.empty((0, self.size), np.uint8))
+        rows = np.empty((self.count, *empty.shape[1:]), dtype=empty.dtype)
+        ids: list[str] = []
+        for block_ids, block in self:
+            rows[len(ids):len(ids) + len(block)] = block
+            ids += block_ids
+        return ids, rows
+
+
+def read_records(path: str, fmt: RecordFormat) -> tuple[int, list[str], np.ndarray]:
+    """Read a container written by :func:`write_records`: ``param``, the
+    ids, and the decoded rows of every block of :class:`RecordBlocks`
+    gathered into one matrix."""
+    with RecordBlocks(path, fmt) as records:
+        return records.param, *records.read_all()
+
+
+def _structural_rows(path: str, m: int, ids: list[str], raw: np.ndarray) -> np.ndarray:
+    """Packed (n, words) uint64 rows; set padding bits past m are refused."""
+    if m % 8 and (raw[:, -1] >> (m % 8)).any():
+        raise FormatError(f"{path}: padding bits past m must be zero")
+    pad = -raw.shape[1] % 8
+    if pad:
+        raw = np.concatenate([raw, np.zeros((len(raw), pad), dtype=np.uint8)], axis=1)
+    return raw.view("<u8").astype(np.uint64, copy=False)
+
+
+def _semantic_rows(path: str, d: int, ids: list[str], raw: np.ndarray) -> np.ndarray:
+    """(n, d) float32 rows; a row with a non-finite value is refused."""
+    rows = raw.view("<f4").astype(np.float32, copy=False)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: entry {ids[int(np.argmin(finite))]!r} has non-finite values")
+    return rows
+
+
+STRUCTURAL = RecordFormat(
+    STRUCTURAL_MAGIC, "bit-vector length", lambda m: (m + 7) // 8, _structural_rows
+)
+SEMANTIC = RecordFormat(SEMANTIC_MAGIC, "dimension", lambda d: 4 * d, _semantic_rows)
+_FORMATS = {"structural": STRUCTURAL, "semantic": SEMANTIC}
 
 
 def _shared(entries: Sequence[tuple[str, object]], name: str, value: int | None) -> int:
@@ -512,25 +636,30 @@ def _shared(entries: Sequence[tuple[str, object]], name: str, value: int | None)
     return value
 
 
+def write_structural(path: str, ids: Sequence[str], blocks: Iterable[np.ndarray], m: int) -> None:
+    """Write a KHSTRU1 file from the ids and blocks of their packed
+    (n, words) uint64 rows, in order (see :func:`write_records`)."""
+    nbytes = (m + 7) // 8
+    write_records(
+        path, STRUCTURAL, m, ids,
+        (words.astype("<u8", copy=False).view(np.uint8)[:, :nbytes] for words in blocks),
+    )
+
+
 def save_structural(
     entries: Sequence[tuple[str, StructuralEmbedding]], path: str, m: int | None = None
 ) -> None:
     m = _shared(entries, "m", m)
-    write_records(path, STRUCTURAL_MAGIC, m, entries, StructuralEmbedding.to_bytes)
+    words = np.array([emb.words for _, emb in entries], dtype=np.uint64)
+    words = words.reshape(len(entries), (m + 63) // 64)
+    write_structural(path, [pid for pid, _ in entries], [words], m)
 
 
 def read_structural(path: str) -> tuple[list[str], np.ndarray, int]:
     """The ids of a KHSTRU1 file, its rows as one packed (N, words) uint64
     matrix (no per-row objects), and m."""
-    m, ids, raw = read_records(path, STRUCTURAL_MAGIC, lambda m: (m + 7) // 8)
-    if m < 1:
-        raise FormatError(f"{path}: bit-vector length must be >= 1, got {m}")
-    if m % 8 and (raw[:, -1] >> (m % 8)).any():
-        raise FormatError(f"{path}: padding bits past m must be zero")
-    pad = -raw.shape[1] % 8
-    if pad:
-        raw = np.concatenate([raw, np.zeros((len(ids), pad), dtype=np.uint8)], axis=1)
-    return ids, raw.view("<u8").astype(np.uint64, copy=False), m
+    m, ids, words = read_records(path, STRUCTURAL)
+    return ids, words, m
 
 
 def load_structural(path: str) -> list[tuple[str, StructuralEmbedding]]:
@@ -557,33 +686,41 @@ def load_embeddings(path: str):
     return kind, (load_structural if kind == "structural" else load_semantic)(path)
 
 
+def open_sketches(path: str) -> tuple[str, RecordBlocks]:
+    """Open either embedding container for reading in blocks, sniffing the
+    magic: ("structural", blocks of packed words) or ("semantic", blocks of
+    float32 rows)."""
+    kind = _kind(path)
+    return kind, RecordBlocks(path, _FORMATS[kind])
+
+
 def read_sketches(path: str) -> tuple[str, list[str], np.ndarray, int]:
     """Decode either embedding container into ids plus one matrix, sniffing
     the magic: ("structural", ids, words, m) or ("semantic", ids, values, d).
     """
-    kind = _kind(path)
-    return kind, *(read_structural if kind == "structural" else read_semantic)(path)
+    kind, records = open_sketches(path)
+    with records:
+        return kind, *records.read_all(), records.param
+
+
+def read_ids(path: str) -> list[str]:
+    """The ids of either embedding container. Every block is checked as
+    :func:`read_sketches` checks it, and its rows are then dropped."""
+    return [pid for ids, _ in open_sketches(path)[1] for pid in ids]
 
 
 def save_semantic(
     entries: Sequence[tuple[str, SemanticEmbedding]], path: str, d: int | None = None
 ) -> None:
     d = _shared(entries, "d", d)
-    write_records(
-        path, SEMANTIC_MAGIC, d, entries, lambda emb: emb.values.astype("<f4", copy=False).tobytes()
-    )
+    values = np.array([emb.values for _, emb in entries], dtype="<f4").reshape(len(entries), d)
+    write_records(path, SEMANTIC, d, [pid for pid, _ in entries], [values.view(np.uint8)])
 
 
 def read_semantic(path: str) -> tuple[list[str], np.ndarray, int]:
     """The ids of a KHSEM1 file, its rows as one (N, d) float32 matrix (no
     per-row objects), and d."""
-    d, ids, raw = read_records(path, SEMANTIC_MAGIC, lambda d: 4 * d)
-    if d < 1:
-        raise FormatError(f"{path}: dimension must be >= 1, got {d}")
-    rows = raw.view("<f4").astype(np.float32, copy=False)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"{path}: entry {ids[int(np.argmin(finite))]!r} has non-finite values")
+    d, ids, rows = read_records(path, SEMANTIC)
     return ids, rows, d
 
 

@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import read_records, write_records
+from .corpus import RecordFormat, read_records, write_records
 from .errors import ConfigError, FormatError, ValidationError
 
 logger = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"KHKM1"
+MODEL_FORMAT = RecordFormat(
+    MODEL_MAGIC, "dimension", lambda d: 4 * d, lambda path, d, ids, raw: raw.view("<f4")
+)
 
 DEFAULT_ITERATIONS = 30
 
@@ -104,17 +107,32 @@ def _check_matrix(X: np.ndarray, what: str) -> np.ndarray:
     return X
 
 
-def _assign(Xn: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per row; argmax breaks ties at the lowest index."""
-    n = Xn.shape[0]
+def _assign(
+    X: np.ndarray, centers: np.ndarray, normalise: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest centroid per row; argmax breaks ties at the lowest index.
+
+    With ``normalise``, each block of rows goes through :func:`unit_rows`
+    on its own, which gives the rows of ``unit_rows(X)`` without a
+    normalised copy of X; the third array flags the rows that come out zero.
+    """
+    n = X.shape[0]
     labels = np.empty(n, dtype=np.int64)
     sims = np.empty(n, dtype=np.float64)
+    zero = np.zeros(n, dtype=bool)
+    # One similarity buffer for every block: a fresh product per block would
+    # be allocated while the previous one is still alive.
+    out = np.empty((min(n, _ASSIGN_CHUNK), centers.shape[0]), dtype=np.float64)
     for start in range(0, n, _ASSIGN_CHUNK):
         stop = min(start + _ASSIGN_CHUNK, n)
-        block = Xn[start:stop] @ centers.T
+        rows = X[start:stop]
+        if normalise:
+            rows = unit_rows(rows)
+            zero[start:stop] = ~rows.any(axis=1)
+        block = np.matmul(rows, centers.T, out=out[: stop - start])
         labels[start:stop] = np.argmax(block, axis=1)
         sims[start:stop] = block[np.arange(stop - start), labels[start:stop]]
-    return labels, sims
+    return labels, sims, zero
 
 
 def _repair_empty(
@@ -207,7 +225,7 @@ def train(
 
     trace: list[float] = []
     for _ in range(iterations):
-        labels, sims = _assign(Xn, centers)
+        labels, sims, _ = _assign(Xn, centers)
         _repair_empty(Xn, labels, sims, centers)
         trace.append(float(sims.sum()))
         centers = _update(Xn, labels, centers)
@@ -227,9 +245,7 @@ def classify(model: CentroidModel, embeddings: np.ndarray) -> LabelAssignment:
         raise ValidationError(
             f"embeddings have dimension {X.shape[1]}, model expects {model.d}"
         )
-    Xn = unit_rows(X)
-    zero = ~Xn.any(axis=1)
-    labels, _ = _assign(Xn, model.centroids.astype(np.float64))
+    labels, _, zero = _assign(X, model.centroids.astype(np.float64), normalise=True)
     if np.any(zero):
         labels[zero] = 0
         logger.warning(
@@ -245,20 +261,18 @@ def save_model(model: CentroidModel, path: str) -> None:
     """
     write_records(
         path,
-        MODEL_MAGIC,
+        MODEL_FORMAT,
         model.d,
-        [(str(idx), row) for idx, row in enumerate(model.centroids)],
-        lambda row: row.astype("<f4", copy=False).tobytes(),
+        [str(idx) for idx in range(model.n_clusters)],
+        [model.centroids.astype("<f4", copy=False).view(np.uint8)],
     )
 
 
 def load_model(path: str) -> CentroidModel:
-    d, ids, payloads = read_records(path, MODEL_MAGIC, lambda d: 4 * d)
-    if d < 1:
-        raise FormatError(f"{path}: dimension must be >= 1, got {d}")
+    _, ids, rows = read_records(path, MODEL_FORMAT)
     if not ids:
         raise FormatError(f"{path}: model must have at least one centroid")
     for idx, name in enumerate(ids):
         if name != str(idx):
             raise FormatError(f"{path}: centroid {idx} has unexpected id {name!r}")
-    return CentroidModel(centroids=payloads.view("<f4"))
+    return CentroidModel(centroids=rows)

@@ -27,8 +27,10 @@ posting-list and cosine kernels are short numpy calls that hold it, so
 threads only contend there; their queries run in order on the calling
 thread.
 
-An index is built from ids plus one matrix (``from_matrix``), which
-:func:`load_index` decodes straight from a ``.stru`` or ``.sem`` file;
+An index is built from ids plus one matrix (``from_matrix``), or, for a
+sparse structural index, from the set bits of its rows (``from_set_bits``).
+:func:`load_index` reads a ``.stru`` file block by block into set bits and
+builds the (N, words) matrix only for a dense index, which keeps it;
 :func:`build` is the adapter for a list of embedding objects.
 """
 
@@ -46,12 +48,13 @@ from .corpus import (
     StructuralEmbedding,
     check_field,
     numbered_lines,
-    read_sketches,
+    open_sketches,
+    read_structural,
     write_lines,
 )
 from .errors import ConfigError, ParseError, ValidationError
 from .kmeans import unit_rows
-from .structural import Postings, build_postings, jaccard_many
+from .structural import Postings, jaccard_many, set_bits
 
 Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
 
@@ -96,20 +99,29 @@ class StructuralIndex:
     @classmethod
     def from_matrix(cls, ids: Sequence[str], words: np.ndarray, m: int) -> "StructuralIndex":
         """Index packed (N, words) rows, stored in ascending id order."""
-        ids, order = _id_order(ids)
         pops = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
         # A query's postings are a subset of the index's, so with fewer set
         # bits than packed words the sparse kernel never reads more posting
         # entries than the dense scan reads words.
         if pops.sum() < words.size:
-            rank = None
-            if order is not None:
-                rank = np.empty_like(order)
-                rank[order] = np.arange(order.size)
-            rows = build_postings(words, m, rank)
-        else:
-            rows = words if order is None else words[order]
-        return cls(ids, rows, pops if order is None else pops[order], m)
+            return cls.from_set_bits(ids, pops, *set_bits(words), m)
+        ids, order = _id_order(ids)
+        if order is None:
+            return cls(ids, words, pops, m)
+        return cls(ids, words[order], pops[order], m)
+
+    @classmethod
+    def from_set_bits(
+        cls, ids: Sequence[str], pops: np.ndarray, rows: np.ndarray, positions: np.ndarray, m: int
+    ) -> "StructuralIndex":
+        """Index rows given by their popcounts and the (row, bit position) of
+        each set bit as posting lists, stored in ascending id order."""
+        ids, order = _id_order(ids)
+        if order is not None:
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            rows, pops = rank[rows], pops[order]
+        return cls(ids, Postings.from_bits(rows, positions, m, len(ids)), pops, m)
 
     def __len__(self) -> int:
         return len(self.program_ids)
@@ -184,12 +196,38 @@ def build(entries: Sequence[Entry]) -> Index:
 
 
 def load_index(path: str) -> Index:
-    """Index a ``.stru`` or ``.sem`` file from its decoded matrix, with no
-    per-row objects."""
-    kind, ids, rows, param = read_sketches(path)
-    if kind == "structural":
-        return StructuralIndex.from_matrix(ids, rows, param)
-    return SemanticIndex.from_matrix(ids, rows)
+    """Index a ``.stru`` or ``.sem`` file with no per-row objects.
+
+    A ``.sem`` file is decoded into one matrix, which the index keeps. A
+    ``.stru`` file is read in record blocks, keeping each block's popcounts
+    and set bits, and its postings are assembled once at the end. Only when
+    the running popcount sum reaches N x words, so that the index will be
+    dense and keep the packed words, is the file read again as one matrix.
+    """
+    kind, records = open_sketches(path)
+    with records:
+        if kind == "semantic":
+            return SemanticIndex.from_matrix(*records.read_all())
+        m = records.param
+        limit = records.count * ((m + 63) // 64)
+        ids: list[str] = []
+        pops, rows, positions = [], [], []
+        total = 0
+        for block_ids, words in records:
+            counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+            total += int(counts.sum())
+            if total >= limit:
+                break
+            row, pos = set_bits(words)
+            rows.append(row + len(ids))
+            positions.append(pos)
+            pops.append(counts)
+            ids += block_ids
+    if total < limit:
+        return StructuralIndex.from_set_bits(
+            ids, np.concatenate(pops), np.concatenate(rows), np.concatenate(positions), m
+        )
+    return StructuralIndex.from_matrix(*read_structural(path))
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ProgramRecord, SemanticEmbedding, stack_embeddings
+from .corpus import FunctionRecord, ProgramRecord, SemanticEmbedding, stack_embeddings
 from .errors import ConfigError, ValidationError
 from .kmeans import unit_rows
 
@@ -90,6 +90,18 @@ def weight(loc: int, nos: int, cfg: WeightConfig) -> float:
     return float(weights_array(np.array([loc]), np.array([nos]), cfg)[0])
 
 
+def _overflowing_stat(functions: Sequence[FunctionRecord]) -> str:
+    """Name the first loc or nos with no float64 value: an integer beyond
+    about 1.8e308, which the corpus reader accepts."""
+    for fn in functions:
+        for name in ("loc", "nos"):
+            try:
+                float(getattr(fn, name))
+            except OverflowError:
+                return f"function {fn.function_id!r}: {name} is beyond the float64 range"
+    return "a loc or nos is beyond the float64 range"
+
+
 def hash_programs(
     programs: Sequence[ProgramRecord], cfg: WeightConfig, d: int | None = None
 ) -> list[SemanticEmbedding]:
@@ -106,9 +118,12 @@ def hash_programs(
         X = np.empty((0, d))
     elif d is not None and d != X.shape[1]:
         raise ValidationError(f"functions have d={X.shape[1]}, expected {d}")
-    stats = np.fromiter(
-        ((fn.loc, fn.nos) for fn in functions), dtype=(np.float64, 2), count=len(functions)
-    )
+    try:
+        stats = np.fromiter(
+            ((fn.loc, fn.nos) for fn in functions), dtype=(np.float64, 2), count=len(functions)
+        )
+    except OverflowError:
+        raise ValidationError(_overflowing_stat(functions)) from None
     unit_rows(X, out=X)
     X *= weights_array(stats[:, 0], stats[:, 1], cfg)[:, np.newaxis]
     counts = np.bincount(owner, minlength=len(programs))

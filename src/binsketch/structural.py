@@ -5,9 +5,11 @@ distinct labels is hashed into an m-bit vector with a signed hash family,
 and programs are compared by Jaccard similarity over those bit-vectors.
 The functions hashed are those ``corpus.stack_embeddings`` keeps (zero-norm
 ones are dropped, as for every consumer), so a program with none left gets
-the empty sketch. :func:`hash_programs` sketches a whole corpus with one
-``classify`` call; :func:`hash_program` and :func:`labels_to_bitvector` are
-its one-program cases.
+the empty sketch. :func:`sketch_blocks` sketches a whole corpus with one
+``classify`` call and folds it one block of programs at a time, so the
+(N, m/64) word matrix never exists; :func:`hash_programs` collects those
+blocks into a list, and :func:`hash_program` and
+:func:`labels_to_bitvector` are its one-program cases.
 
 The hash family is the splitmix64 finalizer applied to the label XORed
 with a per-role seed: one seed picks the bucket, the other the sign.
@@ -23,11 +25,11 @@ rarely changes a sketch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import ProgramRecord, StructuralEmbedding, stack_embeddings
+from .corpus import ProgramRecord, StructuralEmbedding, block_rows, stack_embeddings
 from .errors import ConfigError, ValidationError
 from .kmeans import CentroidModel, classify
 
@@ -106,18 +108,42 @@ def labels_to_bitvector(labels: Iterable[int], hasher: FeatureHasher) -> Structu
     return StructuralEmbedding(words[0], hasher.m)
 
 
+def sketch_blocks(
+    programs: Sequence[ProgramRecord], model: CentroidModel, hasher: FeatureHasher
+) -> Iterator[np.ndarray]:
+    """Sketch every program, in input order, as blocks of packed (n, m/64)
+    rows: the distinct labels of its contributing functions.
+
+    One ``classify`` over the whole corpus runs here, before this returns;
+    each block of :func:`~binsketch.corpus.block_rows` programs is folded
+    only when the iterator reaches it, so no (N, m/64) matrix exists.
+    """
+    _, X, owner = stack_embeddings(programs)
+    labels = classify(model, X).labels
+    k = model.n_clusters
+    return _fold_blocks(np.unique(owner * k + labels), k, len(programs), hasher)
+
+
+def _fold_blocks(pairs: np.ndarray, k: int, n: int, hasher: FeatureHasher) -> Iterator[np.ndarray]:
+    """Fold sorted ``program * k + label`` pairs block by block of programs."""
+    step = block_rows(hasher.m // 8)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        lo, hi = np.searchsorted(pairs, [start * k, stop * k])
+        block = pairs[lo:hi]
+        yield _fold(block // k - start, (block % k).astype(np.uint64), stop - start, hasher)
+
+
 def hash_programs(
     programs: Sequence[ProgramRecord], model: CentroidModel, hasher: FeatureHasher
 ) -> list[StructuralEmbedding]:
-    """Sketch every program, in input order: the distinct labels of its
-    contributing functions, with one ``classify`` over the whole corpus."""
-    _, X, owner = stack_embeddings(programs)
-    labels = classify(model, X).labels
-    del X  # free the stacked matrix before the word matrix is allocated
-    k = model.n_clusters
-    pairs = np.unique(owner * k + labels)
-    words = _fold(pairs // k, (pairs % k).astype(np.uint64), len(programs), hasher)
-    return [StructuralEmbedding(row, hasher.m) for row in words]
+    """Sketch every program, in input order: :func:`sketch_blocks` as one
+    list."""
+    return [
+        StructuralEmbedding(row, hasher.m)
+        for words in sketch_blocks(programs, model, hasher)
+        for row in words
+    ]
 
 
 def hash_program(
@@ -149,6 +175,15 @@ class Postings:
     offsets: np.ndarray
     rows: np.ndarray
     n_rows: int
+
+    @classmethod
+    def from_bits(cls, rows: np.ndarray, positions: np.ndarray, m: int, n_rows: int) -> "Postings":
+        """The posting lists of set bits given as (row, bit position) pairs,
+        in any order, for ``n_rows`` rows of m bits."""
+        order = np.lexsort((rows, positions))
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(positions, minlength=m), out=offsets[1:])
+        return cls(offsets, rows[order].astype(np.int32), n_rows)
 
     def intersections(self, query_words: np.ndarray) -> np.ndarray:
         """|q & row| for every row (int64), from the postings of q's set bits."""
@@ -183,19 +218,10 @@ def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(positions)
 
 
-def build_postings(words: np.ndarray, m: int, rank: np.ndarray | None = None) -> Postings:
-    """Invert a packed (N, words) matrix into per-bit posting lists.
-
-    With ``rank``, row r is listed as ``rank[r]``: the postings of the rows
-    reordered by ``rank``, without reordering the matrix.
-    """
-    row, pos = set_bits(words)
-    if rank is not None:
-        row = rank[row]
-    order = np.lexsort((row, pos))
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pos, minlength=m), out=offsets[1:])
-    return Postings(offsets, row[order].astype(np.int32), n_rows=words.shape[0])
+def build_postings(words: np.ndarray, m: int) -> Postings:
+    """Invert a packed (N, words) matrix into per-bit posting lists: its
+    :func:`set_bits`, then :meth:`Postings.from_bits`."""
+    return Postings.from_bits(*set_bits(words), m, words.shape[0])
 
 
 def jaccard_many(

@@ -374,6 +374,17 @@ class TestLossCheck:
         assert parse_report(proc.stdout)["status"] == "fail"
         assert proc.stderr == ""  # no RuntimeWarning and no numpy source line
 
+    def test_overflowing_step_writes_no_numpy_warning(self):
+        # The perturbed inputs overflow the row norms; the report still fails.
+        src = os.path.dirname(os.path.dirname(binsketch.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "binsketch.cli", "loss-check", "--step", "1e+308"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines()[-1] == "status=fail"
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -644,6 +655,28 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["loc", "nos"])
+    def test_stat_beyond_float64_is_one_error_line(self, tmp_path, field):
+        # The reader takes any integer; 10**400 has no float64 value.
+        stats = {"loc": "3", "nos": "1", field: "1" + "0" * 400}
+        corpus = tmp_path / "big.tsv"
+        corpus.write_text(
+            "KHCORP1\tversion=1\td=2\n"
+            f"p\tf0\t{stats['loc']}\t{stats['nos']}\t0.5 1.0\n"
+        )
+        out = tmp_path / "x.sem"
+        src = os.path.dirname(os.path.dirname(binsketch.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "binsketch.cli", "hash", "--corpus", str(corpus),
+             "--mode", "sem", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: function 'f0': {field} is beyond the float64 range"
+        ]
         assert not out.exists()
 
     def test_model_with_huge_record_count_is_usage_error(self, pipeline_dir, capsys):

@@ -1,7 +1,8 @@
 """The matrix path reads and indexes a sketch file like the entry path.
 
 ``corpus.read_sketches`` decodes a ``.stru``/``.sem`` file into ids plus
-one matrix, and ``search.load_index`` indexes that matrix. Every file that
+one matrix, and ``search.load_index`` indexes the file (a ``.stru`` one
+block of records at a time). Every file that
 ``load_embeddings`` rejects, it must reject with the same ``FormatError``,
 and every index it builds must answer exactly like ``build`` over the
 loaded entries.
