@@ -24,9 +24,12 @@ import numpy as np
 
 from . import contrastive, kmeans, metrics, search, semantic, structural, synth
 from .corpus import (
+    StructuralEmbedding,
     load_corpus,
     load_embeddings,
+    open_sketches,
     read_ids,
+    read_sketches,
     save_corpus,
     save_semantic,
     stack_embeddings,
@@ -164,14 +167,11 @@ def cmd_hash(args) -> int:
 
 def cmd_index_search(args) -> int:
     repo = search.load_index(args.repo_emb)
-    _, query_entries = load_embeddings(args.query_emb)
-    results = search.batch_search(
-        repo, [emb for _, emb in query_entries], k=args.k, workers=args.workers
-    )
-    search.save_results(
-        [(pid, res) for (pid, _), res in zip(query_entries, results)], args.out
-    )
-    _emit([("queries", len(query_entries)), ("repository", len(repo)), ("k", args.k)])
+    kind, query_ids, rows, param = read_sketches(args.query_emb)
+    queries = rows if kind == "semantic" else [StructuralEmbedding(row, param) for row in rows]
+    ranking = search.batch_search(repo, queries, k=args.k, workers=args.workers)
+    search.write_hits(args.out, query_ids, ranking)
+    _emit([("queries", len(query_ids)), ("repository", len(repo)), ("k", args.k)])
     return 0
 
 
@@ -259,15 +259,13 @@ def cmd_loss_check(args) -> int:
 def cmd_bench(args) -> int:
     if args.queries < 1:
         raise ConfigError(f"--queries must be >= 1, got {args.queries}")
-    _, entries = load_embeddings(args.repo_emb)
-    repo = search.build(entries)
+    repo = search.load_index(args.repo_emb)
     if not isinstance(repo, search.StructuralIndex):
         raise ValidationError("bench measures structural scoring; pass a structural file")
     if args.query_emb:
-        entries = load_embeddings(args.query_emb)[1]
+        queries = [emb for _, emb in load_embeddings(args.query_emb)[1]]
     else:
-        entries = entries[: args.queries]
-    queries = [emb for _, emb in entries]
+        queries = _first_rows(args.repo_emb, args.queries, repo.m)
     report = search.bench(repo, queries, rounds=args.rounds)
     _emit(
         [
@@ -280,6 +278,17 @@ def cmd_bench(args) -> int:
         ]
     )
     return 0
+
+
+def _first_rows(path: str, n: int, m: int) -> list[StructuralEmbedding]:
+    """The first ``n`` sketches of a ``.stru`` file, reading no block past them."""
+    rows: list[np.ndarray] = []
+    with open_sketches(path)[1] as records:
+        for _, words in records:
+            rows.extend(words[: n - len(rows)])
+            if len(rows) == n:
+                break
+    return [StructuralEmbedding(row, m) for row in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,16 +22,17 @@ first; across chunks, the first error in file order is reported.
 The binary containers (these two and the centroid model, ``KHKM1``) share
 one codec: :func:`write_records` writes the ids plus blocks of payloads,
 and :class:`RecordBlocks` reads records in blocks of about 1 MB, so no
-reader needs the file whole. A block's records are checked as they are
+reader needs the file whole. It reads the file through one small buffer,
+refilled by one ``readinto``, and walks the records' id length prefixes
+inside it. A block's records are checked as they are
 read (truncation, ids that are not UTF-8, trailing bytes after the last
 record), then its payloads (padding bits, non-finite values); across
 blocks, the first error in file order is reported. :func:`read_records`
-gathers every block into one matrix.
+reads every block's payloads into one matrix.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 import os
 import struct
@@ -55,6 +56,10 @@ _CHUNK_BYTES = 1 << 16
 
 # About how many payload bytes one block of container records holds.
 _BLOCK_BYTES = 1 << 20
+
+# How many bytes of a container one read brings in (more if one record needs
+# more): small enough that a small file touches little fresh memory.
+_READ_BYTES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -519,8 +524,8 @@ class RecordBlocks:
     def __init__(self, path: str, fmt: RecordFormat):
         self.path = path
         self._format = fmt
-        # A block-sized buffer: one read call per block, not two per record.
-        self._fh = open(path, "rb", buffering=max(_BLOCK_BYTES, io.DEFAULT_BUFFER_SIZE))
+        # Unbuffered: the records are read into a buffer of our own.
+        self._fh = open(path, "rb", buffering=0)
         try:
             head = self._fh.read(len(fmt.magic) + 12)
             if not head.startswith(fmt.magic):
@@ -550,42 +555,79 @@ class RecordBlocks:
     def close(self) -> None:
         self._fh.close()
 
+    def _fill(self, buf: bytearray, start: int, stop: int, need: int) -> tuple[bytearray, int]:
+        """Move the unread bytes ``buf[start:stop]`` to the front, into a new
+        buffer if ``need`` bytes do not fit, and read the file into the rest
+        with one ``readinto``. Returns the buffer and how many bytes it holds,
+        at least ``need``: fewer means the file shrank while it was read,
+        which is truncation."""
+        if need > len(buf):
+            buf, buf[: stop - start] = bytearray(need), buf[start:stop]
+        else:  # the same length: allowed while ``buf`` is viewed
+            buf[: stop - start] = buf[start:stop]
+        stop -= start
+        with memoryview(buf) as rest:
+            stop += self._fh.readinto(rest[stop:]) or 0
+        if stop < need:
+            raise self._truncated()
+        return buf, stop
+
     def __iter__(self) -> Iterator[tuple[list[str], np.ndarray]]:
-        fh, size = self._fh, self.size
-        left, end = self.count, fh.tell()
+        return self._blocks(None)
+
+    def _blocks(self, into: np.ndarray | None) -> Iterator[tuple[list[str], np.ndarray]]:
+        """Iterate as ``__iter__`` describes, putting each block's payloads
+        in the next rows of ``into`` (a (count, size) uint8 matrix) or, with
+        None, in a new array per block."""
+        size, rows = self.size, block_rows(4 + self.size)
+        prefix = struct.Struct("<I").unpack_from
+        # The bytes the file holds beyond 4 + size per record: the ids must
+        # fit in them, and what is left after the last record is trailing.
+        spare = self._file_size - self._fh.tell() - self.count * (4 + size)
+        # One small buffer serves every block: it is refilled by one
+        # readinto whenever the next record does not fit in what is left.
+        buf = bytearray(min(_READ_BYTES, self._file_size - self._fh.tell()))
+        view, start, stop = memoryview(buf), 0, 0
         try:
-            while left:
-                raw = np.empty((min(block_rows(4 + size), left), size), dtype=np.uint8)
+            for done in range(0, self.count, rows):
+                n = min(rows, self.count - done)
+                raw = np.empty((n, size), np.uint8) if into is None else into[done:done + n]
                 ids: list[str] = []
-                for row in raw:
-                    left -= 1
-                    length = int.from_bytes(fh.read(4), "little")
-                    end += 4 + length + size
-                    # Each record still to come needs at least 4 + size bytes,
-                    # so the next length prefix is always inside the file.
-                    if end + left * (4 + size) > self._file_size:
-                        raise self._truncated()
-                    try:
-                        ids.append(fh.read(length).decode("utf-8"))
-                    except UnicodeDecodeError:
-                        raise FormatError(f"{self.path}: id is not valid UTF-8") from None
-                    if fh.readinto(row) != size:  # the file shrank while read
-                        raise self._truncated()
-                if not left and end != self._file_size:
-                    raise FormatError(f"{self.path}: {self._file_size - end} trailing bytes")
+                with memoryview(raw).cast("B") as out:
+                    for at in range(0, n * size, size):
+                        if stop - start < 4 + size:
+                            buf, stop = self._fill(buf, start, stop, 4 + size)
+                            view, start = memoryview(buf), 0
+                        (length,) = prefix(buf, start)
+                        spare -= length
+                        if spare < 0:
+                            raise self._truncated()
+                        if stop - start < 4 + length + size:
+                            buf, stop = self._fill(buf, start, stop, 4 + length + size)
+                            view, start = memoryview(buf), 0
+                        start += 4 + length
+                        try:
+                            ids.append(buf[start - length:start].decode("utf-8"))
+                        except UnicodeDecodeError:
+                            raise FormatError(f"{self.path}: id is not valid UTF-8") from None
+                        out[at:at + size] = view[start:start + size]
+                        start += size
+                if done + n == self.count and spare:
+                    raise FormatError(f"{self.path}: {spare} trailing bytes")
                 yield ids, self._format.decode(self.path, self.param, ids, raw)
         finally:
+            view.release()
             self.close()
 
     def read_all(self) -> tuple[list[str], np.ndarray]:
-        """Every id, and every row in one matrix filled block by block."""
-        empty = self._format.decode(self.path, self.param, [], np.empty((0, self.size), np.uint8))
-        rows = np.empty((self.count, *empty.shape[1:]), dtype=empty.dtype)
+        """Every id, and every row in one matrix: the blocks' payloads are
+        read into one (count, size) matrix, each block checked as it comes,
+        and the matrix is then decoded whole."""
+        raw = np.empty((self.count, self.size), dtype=np.uint8)
         ids: list[str] = []
-        for block_ids, block in self:
-            rows[len(ids):len(ids) + len(block)] = block
+        for block_ids, _ in self._blocks(raw):
             ids += block_ids
-        return ids, rows
+        return ids, self._format.decode(self.path, self.param, ids, raw)
 
 
 def read_records(path: str, fmt: RecordFormat) -> tuple[int, list[str], np.ndarray]:

@@ -5,10 +5,19 @@ structural bit-vectors, cosine for semantic vectors) and the top k
 survive; ranking ties break toward the lexicographically smaller program
 id, so results are stable. No approximation.
 
-The top k are selected, not sorted out of all N scores (:func:`top_k`).
-Rows at the lowest score are set aside, the rest are partitioned at the
-k-th best score, and at most k candidates are sorted. The result is
-exactly the first k of a stable descending sort.
+The top k are selected, not sorted out of all N scores (:func:`top_k`):
+the candidates are partitioned at the k-th best score, and about k of them
+are sorted. For Jaccard, rows at the lowest score are set aside first. The
+result is exactly the first k of a stable descending sort.
+
+A semantic index scores queries in blocks: each block of query rows is
+unit-normalised and scored with one GEMM, about ``_SCORE_BLOCK_BYTES`` of
+float64 scores at a time, and :func:`search` is the one-row case. A GEMM
+may round differently from a matrix-vector product, so block scores can
+differ from one-row scores in the last bits; rows equal byte for byte get
+the same scores, so they always tie. The top hits of a batch are kept as
+arrays (:class:`Ranking`), and :func:`write_hits` writes the hits file
+straight from them.
 
 A structural index picks its Jaccard kernel once, when it is built. If the
 repository holds fewer set bits in total than it has packed words, it keeps
@@ -21,11 +30,10 @@ and turn them into scores with the same float64 division, so the choice
 never changes a score or a rank; rows that share no bit with the query
 simply score 0 (or 1.0 when both are empty).
 
-:func:`batch_search` spreads queries over threads only for the dense word
-scan, whose AND and popcount over the whole matrix release the GIL. The
-posting-list and cosine kernels are short numpy calls that hold it, so
-threads only contend there; their queries run in order on the calling
-thread.
+:func:`batch_search` spreads structural queries over threads only for the
+dense word scan, whose AND and popcount over the whole matrix release the
+GIL. The posting-list kernel makes short numpy calls that hold it, so threads
+only contend there; its queries run in order on the calling thread.
 
 An index is built from ids plus one matrix (``from_matrix``), or, for a
 sparse structural index, from the set bits of its rows (``from_set_bits``).
@@ -58,6 +66,11 @@ from .structural import Postings, jaccard_many, set_bits
 
 Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
 
+# About how many bytes of float64 scores one block of semantic queries
+# holds: large enough that one GEMM amortises reading the index, small
+# enough that memory stays flat at any number of queries.
+_SCORE_BLOCK_BYTES = 1 << 23
+
 
 class Hit(NamedTuple):
     program_id: str
@@ -67,6 +80,46 @@ class Hit(NamedTuple):
 @dataclass
 class SearchResult:
     hits: list[Hit] = field(default_factory=list)
+
+
+class Ranking(Sequence[SearchResult]):
+    """The top hits of a batch of queries, held as arrays: row q of ``rows``
+    indexes ``program_ids``, best first, and row q of ``scores`` holds their
+    scores. Every query has the same number of hits, min(k, N).
+
+    It reads as a sequence with one :class:`SearchResult` per query, whose
+    ``Hit`` objects are built only when that query is read.
+    """
+
+    def __init__(self, program_ids: list[str], rows: np.ndarray, scores: np.ndarray):
+        self.program_ids, self.rows, self.scores = program_ids, rows, scores
+
+    @classmethod
+    def from_results(cls, program_ids: list[str], results: Sequence[SearchResult]) -> "Ranking":
+        """The ranking of results whose hits all name rows of ``program_ids``."""
+        row = {pid: i for i, pid in enumerate(program_ids)}
+        width = len(results[0].hits) if results else 0
+        rows = [row[hit.program_id] for res in results for hit in res.hits]
+        scores = [hit.score for res in results for hit in res.hits]
+        return cls(
+            program_ids,
+            np.array(rows, dtype=np.intp).reshape(len(results), width),
+            np.array(scores, dtype=np.float64).reshape(len(results), width),
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, q: int) -> SearchResult:
+        ids = self.program_ids
+        return SearchResult(
+            [Hit(ids[i], s) for i, s in zip(self.rows[q].tolist(), self.scores[q].tolist())]
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def _id_order(ids: Sequence[str]) -> tuple[list[str], np.ndarray | None]:
@@ -138,33 +191,64 @@ class StructuralIndex:
 class SemanticIndex:
     """Unit-normalized float64 rows, scored by cosine.
 
-    Zero vectors stay zero and score 0 against everything.
+    Zero vectors stay zero and score 0 against everything. ``copies`` holds
+    the rows equal to an earlier row and that earlier row: a copy takes the
+    earlier row's scores, so equal rows tie exactly and rank by id, as a
+    BLAS kernel need not give equal rows equal bits.
     """
 
     program_ids: list[str]
     unit: np.ndarray
     d: int
+    copies: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def from_matrix(cls, ids: Sequence[str], values: np.ndarray) -> "SemanticIndex":
         """Index (N, d) float32 rows, stored in ascending id order."""
         ids, order = _id_order(ids)
-        V = (values if order is None else values[order]).astype(np.float64)
-        return cls(ids, unit_rows(V), d=values.shape[1])
+        values = values if order is None else values[order]
+        return cls(ids, unit_rows(values.astype(np.float64)), values.shape[1], _copies(values))
 
     def __len__(self) -> int:
         return len(self.program_ids)
 
+    def query_values(self, queries) -> np.ndarray:
+        """The (n, d) values of ``queries``, given as semantic embeddings
+        (each checked for its kind and d, in order) or as their matrix."""
+        if isinstance(queries, np.ndarray):
+            if len(queries) and queries.shape[1] != self.d:
+                raise ValidationError(
+                    f"query d={queries.shape[1]} does not match repository d={self.d}"
+                )
+            return queries
+        for query in queries:
+            if not isinstance(query, SemanticEmbedding):
+                raise ValidationError("embedding kinds differ: semantic repository, other query")
+            if query.d != self.d:
+                raise ValidationError(f"query d={query.d} does not match repository d={self.d}")
+        return np.array([q.values for q in queries], dtype=np.float32).reshape(-1, self.d)
+
+    def score_rows(self, values: np.ndarray) -> np.ndarray:
+        """The (n, N) cosines of (n, d) query rows: one GEMM of the
+        unit-normalised rows against the index."""
+        scores = unit_rows(values.astype(np.float64)) @ self.unit.T
+        later, earlier = self.copies
+        if later.size:
+            scores[:, later] = scores[:, earlier]
+        return scores
+
     def scores(self, query) -> np.ndarray:
-        if not isinstance(query, SemanticEmbedding):
-            raise ValidationError("embedding kinds differ: semantic repository, other query")
-        if query.d != self.d:
-            raise ValidationError(f"query d={query.d} does not match repository d={self.d}")
-        q = query.values.astype(np.float64)
-        norm = np.linalg.norm(q)
-        if norm == 0.0:
-            return np.zeros(len(self), dtype=np.float64)
-        return self.unit @ (q / norm)
+        return self.score_rows(self.query_values([query]))[0]
+
+
+def _copies(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a matrix equal byte for byte to an earlier row, and the
+    first row equal to each."""
+    rows = np.ascontiguousarray(values).view(np.dtype((np.void, values.shape[1] * values.itemsize)))
+    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    first = first[inverse]
+    later = np.flatnonzero(first != np.arange(first.size))
+    return later, first[later]
 
 
 Index = StructuralIndex | SemanticIndex
@@ -230,18 +314,25 @@ def load_index(path: str) -> Index:
     return StructuralIndex.from_matrix(*read_structural(path))
 
 
-def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+def top_k(scores: np.ndarray, k: int, set_aside_lowest: bool = True) -> np.ndarray:
     """Indices of the k highest scores, best first, ties by ascending index:
     exactly ``np.argsort(-scores, kind="stable")[:k]`` for scores without
     NaN (both kernels give finite scores), found by selection.
 
-    Rows at the lowest score can only fill the tail, in index order, so they
-    are set aside first; Jaccard scores put most rows there. The rest are
-    partitioned at the k-th best score: the rows above it are sorted (fewer
-    than k), and the rows tied at it follow in index order.
+    With ``set_aside_lowest``, rows at the lowest score are set aside first:
+    they can only fill the tail, in index order. That pays for Jaccard
+    scores, most of which are 0. The rest are partitioned at the k-th best
+    score: the rows above it are sorted (fewer than k), and the rows tied at
+    it follow in index order. Cosine scores are rarely equal, so the
+    semantic kernel skips that step: it partitions all scores and sorts the
+    rows at or above the k-th best (about k of them).
     """
     if k >= scores.size:
         return np.argsort(-scores, kind="stable")
+    if not set_aside_lowest:
+        kth = np.partition(scores, scores.size - k)[scores.size - k]
+        top = np.flatnonzero(scores >= kth)
+        return top[np.argsort(-scores[top], kind="stable")][:k]
     low = scores.min()
     rest = np.flatnonzero(scores > low)
     if rest.size > k:
@@ -254,37 +345,66 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([best, tied[: k - best.size]])
 
 
+def _rank_semantic(repo: SemanticIndex, values: np.ndarray, k: int) -> Ranking:
+    """The top k of each (n, d) query row, scored block by block: one GEMM
+    per block of ``_SCORE_BLOCK_BYTES`` of scores (at least one row)."""
+    n, width = len(values), min(k, len(repo))
+    ranking = Ranking(
+        repo.program_ids, np.empty((n, width), dtype=np.intp), np.empty((n, width))
+    )
+    step = max(1, _SCORE_BLOCK_BYTES // (8 * len(repo)))
+    for start in range(0, n, step):
+        block = repo.score_rows(values[start:start + step])
+        for row, scores in enumerate(block, start):
+            top = top_k(scores, k, set_aside_lowest=False)
+            ranking.rows[row] = top
+            ranking.scores[row] = scores[top]
+    return ranking
+
+
 def search(repo: Index, query, k: int) -> SearchResult:
-    """Top-k entries by score, descending; ties by ascending program id."""
+    """Top-k entries by score, descending; ties by ascending program id.
+
+    A semantic query is scored and ranked as a one-row block of
+    :func:`batch_search`."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if len(repo) == 0:
         return SearchResult()
     scores = repo.scores(query)
-    top = top_k(scores, k)
+    top = top_k(scores, k, set_aside_lowest=isinstance(repo, StructuralIndex))
     ids = repo.program_ids
     return SearchResult([Hit(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())])
 
 
-def batch_search(
-    repo: Index, queries: Sequence, k: int, workers: int = 1
-) -> list[SearchResult]:
-    """Run :func:`search` for each query; output order follows input order.
+def batch_search(repo: Index, queries, k: int, workers: int = 1) -> Ranking:
+    """The top k of every query as one :class:`Ranking`, in input order.
 
-    Only a dense structural index (packed words) uses ``workers`` threads;
-    the posting-list and cosine kernels hold the GIL, so their queries run
-    in order on the calling thread. Results are identical for any
-    ``workers`` value. ``k`` is checked even when there are no queries.
+    A semantic index takes the queries as embeddings or as the (n, d)
+    matrix of their values, and scores them in blocks of rows, one GEMM per
+    block (see :func:`_rank_semantic`). A structural index takes
+    embeddings and runs :func:`search` for each; only a dense one (packed
+    words) uses ``workers`` threads, since the posting-list kernel holds
+    the GIL. Results are identical for any ``workers`` value. ``k`` is
+    checked even when there are no queries.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    dense = isinstance(repo, StructuralIndex) and isinstance(repo.rows, np.ndarray)
+    if len(repo) == 0:
+        return Ranking.from_results(repo.program_ids, [SearchResult()] * len(queries))
+    if isinstance(repo, SemanticIndex):
+        return _rank_semantic(repo, repo.query_values(queries), k)
+    if isinstance(queries, np.ndarray) and len(queries):
+        raise ValidationError("embedding kinds differ: structural repository, other query")
+    dense = isinstance(repo.rows, np.ndarray)
     if workers == 1 or len(queries) <= 1 or not dense:
-        return [search(repo, q, k) for q in queries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda q: search(repo, q, k), queries))
+        results = [search(repo, q, k) for q in queries]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda q: search(repo, q, k), queries))
+    return Ranking.from_results(repo.program_ids, results)
 
 
 @dataclass(frozen=True)
@@ -320,14 +440,45 @@ def save_results(results: Sequence[tuple[str, SearchResult]], path: str) -> None
     lines = []
     seen: set[str] = set()
     for query_id, result in results:
-        if query_id in seen:
-            raise ValidationError(f"duplicate query id {query_id!r}")
-        seen.add(query_id)
-        check_field(query_id, "query id")
+        _check_query_id(query_id, seen)
         for rank, hit in enumerate(result.hits, start=1):
             check_field(hit.program_id, "program id")
             lines.append(f"{query_id}\t{rank}\t{hit.program_id}\t{hit.score:.6f}")
     write_lines(path, lines)
+
+
+def write_hits(path: str, query_ids: Sequence[str], ranking: Ranking) -> None:
+    """Write a :class:`Ranking` as :func:`save_results` writes its results,
+    straight from its arrays: each repository id is checked once, when a hit
+    first names it, so the first bad id in line order is the one reported."""
+    if len(query_ids) != len(ranking):
+        raise ValidationError(f"{len(query_ids)} query ids for {len(ranking)} rankings")
+    ids = ranking.program_ids
+    checked = np.zeros(len(ids), dtype=bool)
+    seen: set[str] = set()
+    # One %-format per query: its lines with the ranks filled in, then its
+    # hit ids and scores interleaved.
+    lines = [f"\t{rank}\t%s\t%.6f" for rank in range(1, ranking.rows.shape[1] + 1)]
+    values: list = [None] * (2 * len(lines))
+    blocks = []
+    for query_id, rows, scores in zip(query_ids, ranking.rows, ranking.scores):
+        _check_query_id(query_id, seen)
+        for row in rows[~checked[rows]].tolist():
+            check_field(ids[row], "program id")
+        checked[rows] = True
+        if lines:
+            head = query_id.replace("%", "%%")
+            values[0::2] = [ids[row] for row in rows.tolist()]
+            values[1::2] = scores.tolist()
+            blocks.append((head + ("\n" + head).join(lines)) % tuple(values))
+    write_lines(path, blocks)
+
+
+def _check_query_id(query_id: str, seen: set[str]) -> None:
+    if query_id in seen:
+        raise ValidationError(f"duplicate query id {query_id!r}")
+    seen.add(query_id)
+    check_field(query_id, "query id")
 
 
 def load_results(path: str) -> list[tuple[str, list[tuple[str, float]]]]:

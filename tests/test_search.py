@@ -146,9 +146,10 @@ def test_top_k_equals_stable_argsort(case):
     values, k = case
     scores = np.array(values, dtype=np.float64)
     expect = np.argsort(-scores, kind="stable")[:k]
-    got = top_k(scores, k)
-    assert got.dtype.kind == "i"
-    assert got.tolist() == expect.tolist()
+    for set_aside_lowest in (True, False):
+        got = top_k(scores, k, set_aside_lowest)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == expect.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,7 +158,9 @@ def test_top_k_equals_stable_argsort_on_distinct_and_repeated_floats(seed, n, k)
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal(n)
     scores[rng.random(n) < 0.3] = scores[0]
-    assert top_k(scores, k).tolist() == np.argsort(-scores, kind="stable")[:k].tolist()
+    expect = np.argsort(-scores, kind="stable")[:k].tolist()
+    assert top_k(scores, k).tolist() == expect
+    assert top_k(scores, k, set_aside_lowest=False).tolist() == expect
 
 
 class TestTopK:
