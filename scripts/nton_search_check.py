@@ -15,7 +15,8 @@ process and prints the comparisons per second, the peak resident memory
   query for ``.stru``);
 * ``topk``: selecting each query's top k;
 * ``write``: checking the ids and writing the hits file;
-* ``other``: the rest (building per-query results, argument parsing).
+* ``other``: the rest (argument parsing, and for ``.stru`` the per-query
+  ``search.search`` calls and the copy of their arrays into the ranking).
 
 The stages are timed by wrapping the functions ``index-search`` calls, so
 the split costs a little time of its own; ``seconds`` is the whole command.
@@ -70,12 +71,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 seconds = time.perf_counter() - start
 if code:
     sys.exit(code)
-n = len(search.load_index(path))
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 split = " ".join(f"{stage}_s={value:.3f}" for stage, value in spent.items())
+other = seconds - sum(spent.values())
+n = len(search.load_index(path))  # after the split is taken: this load is not timed
 print(f"file={path} programs={n} comparisons={n * n} seconds={seconds:.3f} "
       f"comparisons_per_s={n * n / seconds:,.0f} {split} "
-      f"other_s={seconds - sum(spent.values()):.3f} peak_rss_mb={peak:.1f}")
+      f"other_s={other:.3f} peak_rss_mb={peak:.1f}")
 """
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import contrastive, kmeans, metrics, search, semantic, structural, synth
 from .corpus import (
+    STRUCTURAL,
     StructuralEmbedding,
     load_corpus,
     load_embeddings,
@@ -33,7 +34,7 @@ from .corpus import (
     save_corpus,
     save_semantic,
     stack_embeddings,
-    write_structural,
+    write_records,
 )
 from .errors import BinsketchError, ConfigError, ValidationError
 
@@ -155,7 +156,8 @@ def cmd_hash(args) -> int:
             raise ConfigError("--mode stru requires --model")
         model = kmeans.load_model(args.model)
         hasher = structural.FeatureHasher(args.m, args.seed_position, args.seed_sign)
-        write_structural(args.out, ids, structural.sketch_blocks(programs, model, hasher), hasher.m)
+        blocks = structural.sketch_blocks(programs, model, hasher)
+        write_records(args.out, STRUCTURAL, hasher.m, ids, blocks)
     else:
         wcfg = semantic.WeightConfig(
             args.alpha1, args.alpha2, args.beta1, args.beta2, mode=_WEIGHT_MODES[args.mode]

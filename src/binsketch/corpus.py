@@ -20,8 +20,11 @@ not UTF-8 are reported before any other error, since the chunk is decoded
 first; across chunks, the first error in file order is reported.
 
 The binary containers (these two and the centroid model, ``KHKM1``) share
-one codec: :func:`write_records` writes the ids plus blocks of payloads,
-and :class:`RecordBlocks` reads records in blocks of about 1 MB, so no
+one codec. Each container's byte layout is one :class:`RecordFormat`: the
+rows callers hold, ``encode`` of them into payload bytes and ``decode``
+back. :func:`write_records` writes the ids plus blocks of rows, each
+checked against the format's width before it is encoded, and
+:class:`RecordBlocks` reads records in blocks of about 1 MB, so no
 reader needs the file whole. It reads the file through one small buffer,
 refilled by one ``readinto``, and walks the records' id length prefixes
 inside it. A block's records are checked as they are
@@ -169,27 +172,13 @@ class StructuralEmbedding:
             raise ValidationError("bits must be a non-empty 1-D array")
         if np.any(bits > 1):
             raise ValidationError("bits must be 0 or 1")
-        return cls.from_bytes(np.packbits(bits, bitorder="little").tobytes(), bits.size)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes | memoryview, m: int) -> "StructuralEmbedding":
-        nbytes = (m + 7) // 8
-        if len(raw) != nbytes:
-            raise FormatError(f"expected {nbytes} bytes for m={m}, got {len(raw)}")
-        nwords = (m + 63) // 64
-        padded = bytes(raw) + b"\x00" * (nwords * 8 - nbytes)
-        return cls(np.frombuffer(padded, dtype="<u8").copy(), m)
-
-    def to_bytes(self) -> bytes:
-        nbytes = (self.m + 7) // 8
-        return self.words.astype("<u8", copy=False).tobytes()[:nbytes]
+        padded = np.pad(bits, (0, -bits.size % 64))
+        return cls(np.packbits(padded, bitorder="little").view("<u8"), bits.size)
 
     def bits(self) -> np.ndarray:
         """Unpack to a (m,) uint8 array of 0/1 values."""
-        flat = np.unpackbits(
-            np.frombuffer(self.to_bytes(), dtype=np.uint8), bitorder="little"
-        )
-        return flat[: self.m]
+        raw = self.words.astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(raw, bitorder="little")[: self.m]
 
     def popcount(self) -> int:
         return int(np.bitwise_count(self.words).sum(dtype=np.int64))
@@ -448,16 +437,25 @@ def load_corpus(path: str) -> list[ProgramRecord]:
 
 @dataclass(frozen=True)
 class RecordFormat:
-    """A fixed-record container: its magic, the name of its u32 header
-    parameter (checked to be >= 1), the payload bytes per record for a
-    parameter, and ``decode(path, param, ids, raw)``, which turns one block
-    of raw payloads (a uint8 row each) into the rows callers get, with the
-    checks that need the payload."""
+    """A fixed-record container and its whole byte layout: the magic, the
+    name of its u32 header parameter (checked to be >= 1), the rows callers
+    hold for a parameter (``width`` columns of little-endian ``dtype``), the
+    payload bytes per record, :meth:`encode` of rows into payloads and
+    ``decode(path, param, ids, raw)``, which turns one block of raw payloads
+    (a uint8 row each) into rows, with the checks that need the payload."""
 
     magic: bytes
     param: str
+    dtype: str
+    width: Callable[[int], int]
     payload_size: Callable[[int], int]
     decode: Callable[[str, int, list[str], np.ndarray], np.ndarray]
+
+    def encode(self, param: int, rows: np.ndarray) -> np.ndarray:
+        """The uint8 (n, ``payload_size(param)``) payloads of (n, ``width(param)``)
+        rows: their little-endian bytes, cut to the payload size."""
+        raw = np.ascontiguousarray(rows, dtype=self.dtype).view(np.uint8)
+        return raw[:, : self.payload_size(param)]
 
 
 def block_rows(row_bytes: int) -> int:
@@ -473,15 +471,16 @@ def write_records(
 
     The layout is ``fmt.magic``, u32 ``param`` (m or d), u64 record count,
     then per record a u32 length-prefixed UTF-8 id and its payload.
-    ``blocks`` yields the payloads in record order as uint8
-    (n, ``fmt.payload_size(param)``) arrays whose n sum to ``len(ids)``; they
-    may be computed while the file is written. The ids are encoded before
-    the file is opened, and a failure part-way removes the partial file.
+    ``blocks`` yields the rows in record order as (n, ``fmt.width(param)``)
+    arrays whose n sum to ``len(ids)``; they may be computed while the file
+    is written. Each block's shape is checked before it is encoded. The ids
+    are encoded before the file is opened, and a failure part-way removes
+    the partial file.
     """
     if not 1 <= param < 1 << 32:
         raise ValidationError(f"{fmt.magic.decode()} parameter must be in [1, 2**32), got {param}")
     heads = [struct.pack("<I", len(raw)) + raw for raw in (encode_id(pid, "id") for pid in ids)]
-    size = fmt.payload_size(param)
+    width = fmt.width(param)
     with open(path, "wb") as fh:
         try:
             fh.write(fmt.magic + struct.pack("<IQ", param, len(heads)))
@@ -489,13 +488,13 @@ def write_records(
             done = 0
             for block in blocks:
                 done += len(block)
-                if block.dtype != np.uint8 or block.shape[1:] != (size,) or done > len(heads):
+                if block.ndim != 2 or block.shape[1] != width or done > len(heads):
                     raise ValidationError(
-                        f"a payload block of shape {block.shape} does not fit "
-                        f"{len(heads)} records of {size} bytes"
+                        f"a block of shape {block.shape} does not fit "
+                        f"{len(heads)} records of {width} values"
                     )
                 # The block comes first, so zip stops without taking a head.
-                for row, head in zip(block, pending):
+                for row, head in zip(fmt.encode(param, block), pending):
                     fh.write(head)
                     fh.write(row)
             if done != len(heads):
@@ -658,9 +657,12 @@ def _semantic_rows(path: str, d: int, ids: list[str], raw: np.ndarray) -> np.nda
 
 
 STRUCTURAL = RecordFormat(
-    STRUCTURAL_MAGIC, "bit-vector length", lambda m: (m + 7) // 8, _structural_rows
+    STRUCTURAL_MAGIC, "bit-vector length", "<u8",
+    lambda m: (m + 63) // 64, lambda m: (m + 7) // 8, _structural_rows,
 )
-SEMANTIC = RecordFormat(SEMANTIC_MAGIC, "dimension", lambda d: 4 * d, _semantic_rows)
+SEMANTIC = RecordFormat(
+    SEMANTIC_MAGIC, "dimension", "<f4", lambda d: d, lambda d: 4 * d, _semantic_rows
+)
 _FORMATS = {"structural": STRUCTURAL, "semantic": SEMANTIC}
 
 
@@ -678,34 +680,17 @@ def _shared(entries: Sequence[tuple[str, object]], name: str, value: int | None)
     return value
 
 
-def write_structural(path: str, ids: Sequence[str], blocks: Iterable[np.ndarray], m: int) -> None:
-    """Write a KHSTRU1 file from the ids and blocks of their packed
-    (n, words) uint64 rows, in order (see :func:`write_records`)."""
-    nbytes = (m + 7) // 8
-    write_records(
-        path, STRUCTURAL, m, ids,
-        (words.astype("<u8", copy=False).view(np.uint8)[:, :nbytes] for words in blocks),
-    )
-
-
 def save_structural(
     entries: Sequence[tuple[str, StructuralEmbedding]], path: str, m: int | None = None
 ) -> None:
     m = _shared(entries, "m", m)
     words = np.array([emb.words for _, emb in entries], dtype=np.uint64)
-    words = words.reshape(len(entries), (m + 63) // 64)
-    write_structural(path, [pid for pid, _ in entries], [words], m)
-
-
-def read_structural(path: str) -> tuple[list[str], np.ndarray, int]:
-    """The ids of a KHSTRU1 file, its rows as one packed (N, words) uint64
-    matrix (no per-row objects), and m."""
-    m, ids, words = read_records(path, STRUCTURAL)
-    return ids, words, m
+    words = words.reshape(len(entries), STRUCTURAL.width(m))
+    write_records(path, STRUCTURAL, m, [pid for pid, _ in entries], [words])
 
 
 def load_structural(path: str) -> list[tuple[str, StructuralEmbedding]]:
-    ids, words, m = read_structural(path)
+    m, ids, words = read_records(path, STRUCTURAL)
     return [(pid, StructuralEmbedding(row, m)) for pid, row in zip(ids, words)]
 
 
@@ -755,17 +740,10 @@ def save_semantic(
     entries: Sequence[tuple[str, SemanticEmbedding]], path: str, d: int | None = None
 ) -> None:
     d = _shared(entries, "d", d)
-    values = np.array([emb.values for _, emb in entries], dtype="<f4").reshape(len(entries), d)
-    write_records(path, SEMANTIC, d, [pid for pid, _ in entries], [values.view(np.uint8)])
-
-
-def read_semantic(path: str) -> tuple[list[str], np.ndarray, int]:
-    """The ids of a KHSEM1 file, its rows as one (N, d) float32 matrix (no
-    per-row objects), and d."""
-    d, ids, rows = read_records(path, SEMANTIC)
-    return ids, rows, d
+    values = np.array([emb.values for _, emb in entries], dtype=np.float32).reshape(len(entries), d)
+    write_records(path, SEMANTIC, d, [pid for pid, _ in entries], [values])
 
 
 def load_semantic(path: str) -> list[tuple[str, SemanticEmbedding]]:
-    ids, rows, _ = read_semantic(path)
+    _, ids, rows = read_records(path, SEMANTIC)
     return [(pid, SemanticEmbedding(row)) for pid, row in zip(ids, rows)]

@@ -21,7 +21,8 @@ logger = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"KHKM1"
 MODEL_FORMAT = RecordFormat(
-    MODEL_MAGIC, "dimension", lambda d: 4 * d, lambda path, d, ids, raw: raw.view("<f4")
+    MODEL_MAGIC, "dimension", "<f4", lambda d: d, lambda d: 4 * d,
+    lambda path, d, ids, raw: raw.view("<f4"),
 )
 
 DEFAULT_ITERATIONS = 30
@@ -259,13 +260,8 @@ def save_model(model: CentroidModel, path: str) -> None:
 
     Entry ids are the decimal cluster indices in order.
     """
-    write_records(
-        path,
-        MODEL_FORMAT,
-        model.d,
-        [str(idx) for idx in range(model.n_clusters)],
-        [model.centroids.astype("<f4", copy=False).view(np.uint8)],
-    )
+    ids = [str(idx) for idx in range(model.n_clusters)]
+    write_records(path, MODEL_FORMAT, model.d, ids, [model.centroids])
 
 
 def load_model(path: str) -> CentroidModel:

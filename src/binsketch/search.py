@@ -15,9 +15,13 @@ unit-normalised and scored with one GEMM, about ``_SCORE_BLOCK_BYTES`` of
 float64 scores at a time, and :func:`search` is the one-row case. A GEMM
 may round differently from a matrix-vector product, so block scores can
 differ from one-row scores in the last bits; rows equal byte for byte get
-the same scores, so they always tie. The top hits of a batch are kept as
-arrays (:class:`Ranking`), and :func:`write_hits` writes the hits file
-straight from them.
+the same scores, so they always tie.
+
+A top k is held as arrays, repository rows and scores, best first: one
+query's as a :class:`SearchResult`, whose ``Hit`` objects are built only
+when its ``hits`` are read, and a batch's as a :class:`Ranking`, which a
+structural batch fills by copying each :func:`search` result into it.
+:func:`write_hits` writes the hits file straight from a ranking's arrays.
 
 A structural index picks its Jaccard kernel once, when it is built. If the
 repository holds fewer set bits in total than it has packed words, it keeps
@@ -46,18 +50,19 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import (
+    STRUCTURAL,
     SemanticEmbedding,
     StructuralEmbedding,
     check_field,
     numbered_lines,
     open_sketches,
-    read_structural,
+    read_records,
     write_lines,
 )
 from .errors import ConfigError, ParseError, ValidationError
@@ -77,9 +82,29 @@ class Hit(NamedTuple):
     score: float
 
 
-@dataclass
 class SearchResult:
-    hits: list[Hit] = field(default_factory=list)
+    """The top hits of one query, held as arrays: ``rows`` indexes
+    ``program_ids``, best first, and ``scores`` holds their scores.
+
+    Its ``hits`` (one :class:`Hit` per row) are built each time they are
+    read; two results are equal when their hits are.
+    """
+
+    def __init__(self, program_ids: Sequence[str], rows: np.ndarray, scores: np.ndarray):
+        self.program_ids, self.rows, self.scores = program_ids, rows, scores
+
+    @property
+    def hits(self) -> list[Hit]:
+        ids = self.program_ids
+        return [Hit(ids[i], s) for i, s in zip(self.rows.tolist(), self.scores.tolist())]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SearchResult):
+            return NotImplemented
+        return self.hits == other.hits
+
+    def __repr__(self) -> str:
+        return f"SearchResult({self.hits!r})"
 
 
 class Ranking(Sequence[SearchResult]):
@@ -87,34 +112,18 @@ class Ranking(Sequence[SearchResult]):
     indexes ``program_ids``, best first, and row q of ``scores`` holds their
     scores. Every query has the same number of hits, min(k, N).
 
-    It reads as a sequence with one :class:`SearchResult` per query, whose
-    ``Hit`` objects are built only when that query is read.
+    It reads as a sequence with one :class:`SearchResult` per query, a view
+    of its rows.
     """
 
     def __init__(self, program_ids: list[str], rows: np.ndarray, scores: np.ndarray):
         self.program_ids, self.rows, self.scores = program_ids, rows, scores
 
-    @classmethod
-    def from_results(cls, program_ids: list[str], results: Sequence[SearchResult]) -> "Ranking":
-        """The ranking of results whose hits all name rows of ``program_ids``."""
-        row = {pid: i for i, pid in enumerate(program_ids)}
-        width = len(results[0].hits) if results else 0
-        rows = [row[hit.program_id] for res in results for hit in res.hits]
-        scores = [hit.score for res in results for hit in res.hits]
-        return cls(
-            program_ids,
-            np.array(rows, dtype=np.intp).reshape(len(results), width),
-            np.array(scores, dtype=np.float64).reshape(len(results), width),
-        )
-
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, q: int) -> SearchResult:
-        ids = self.program_ids
-        return SearchResult(
-            [Hit(ids[i], s) for i, s in zip(self.rows[q].tolist(), self.scores[q].tolist())]
-        )
+        return SearchResult(self.program_ids, self.rows[q], self.scores[q])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -311,7 +320,8 @@ def load_index(path: str) -> Index:
         return StructuralIndex.from_set_bits(
             ids, np.concatenate(pops), np.concatenate(rows), np.concatenate(positions), m
         )
-    return StructuralIndex.from_matrix(*read_structural(path))
+    m, ids, words = read_records(path, STRUCTURAL)
+    return StructuralIndex.from_matrix(ids, words, m)
 
 
 def top_k(scores: np.ndarray, k: int, set_aside_lowest: bool = True) -> np.ndarray:
@@ -345,21 +355,17 @@ def top_k(scores: np.ndarray, k: int, set_aside_lowest: bool = True) -> np.ndarr
     return np.concatenate([best, tied[: k - best.size]])
 
 
-def _rank_semantic(repo: SemanticIndex, values: np.ndarray, k: int) -> Ranking:
-    """The top k of each (n, d) query row, scored block by block: one GEMM
-    per block of ``_SCORE_BLOCK_BYTES`` of scores (at least one row)."""
-    n, width = len(values), min(k, len(repo))
-    ranking = Ranking(
-        repo.program_ids, np.empty((n, width), dtype=np.intp), np.empty((n, width))
-    )
+def _rank_semantic(repo: SemanticIndex, values: np.ndarray, ranking: Ranking, k: int) -> None:
+    """Fill in the top k of each (n, d) query row, scored block by block:
+    one GEMM per block of ``_SCORE_BLOCK_BYTES`` of scores (at least one
+    row)."""
     step = max(1, _SCORE_BLOCK_BYTES // (8 * len(repo)))
-    for start in range(0, n, step):
+    for start in range(0, len(values), step):
         block = repo.score_rows(values[start:start + step])
         for row, scores in enumerate(block, start):
             top = top_k(scores, k, set_aside_lowest=False)
             ranking.rows[row] = top
             ranking.scores[row] = scores[top]
-    return ranking
 
 
 def search(repo: Index, query, k: int) -> SearchResult:
@@ -370,11 +376,10 @@ def search(repo: Index, query, k: int) -> SearchResult:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if len(repo) == 0:
-        return SearchResult()
+        return SearchResult(repo.program_ids, np.empty(0, dtype=np.intp), np.empty(0))
     scores = repo.scores(query)
     top = top_k(scores, k, set_aside_lowest=isinstance(repo, StructuralIndex))
-    ids = repo.program_ids
-    return SearchResult([Hit(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())])
+    return SearchResult(repo.program_ids, top, scores[top])
 
 
 def batch_search(repo: Index, queries, k: int, workers: int = 1) -> Ranking:
@@ -383,28 +388,37 @@ def batch_search(repo: Index, queries, k: int, workers: int = 1) -> Ranking:
     A semantic index takes the queries as embeddings or as the (n, d)
     matrix of their values, and scores them in blocks of rows, one GEMM per
     block (see :func:`_rank_semantic`). A structural index takes
-    embeddings and runs :func:`search` for each; only a dense one (packed
-    words) uses ``workers`` threads, since the posting-list kernel holds
-    the GIL. Results are identical for any ``workers`` value. ``k`` is
-    checked even when there are no queries.
+    embeddings and runs :func:`search` for each, copying its arrays into
+    the ranking; only a dense one (packed words) uses ``workers`` threads,
+    since the posting-list kernel holds the GIL. Results are identical for
+    any ``workers`` value. ``k`` is checked even when there are no queries.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    shape = (len(queries), min(k, len(repo)))
+    ranking = Ranking(repo.program_ids, np.empty(shape, dtype=np.intp), np.empty(shape))
     if len(repo) == 0:
-        return Ranking.from_results(repo.program_ids, [SearchResult()] * len(queries))
+        return ranking
     if isinstance(repo, SemanticIndex):
-        return _rank_semantic(repo, repo.query_values(queries), k)
+        _rank_semantic(repo, repo.query_values(queries), ranking, k)
+        return ranking
     if isinstance(queries, np.ndarray) and len(queries):
         raise ValidationError("embedding kinds differ: structural repository, other query")
-    dense = isinstance(repo.rows, np.ndarray)
-    if workers == 1 or len(queries) <= 1 or not dense:
-        results = [search(repo, q, k) for q in queries]
+
+    def rank(q: int) -> None:
+        result = search(repo, queries[q], k)
+        ranking.rows[q] = result.rows
+        ranking.scores[q] = result.scores
+
+    if workers == 1 or len(queries) <= 1 or not isinstance(repo.rows, np.ndarray):
+        for q in range(len(queries)):
+            rank(q)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda q: search(repo, q, k), queries))
-    return Ranking.from_results(repo.program_ids, results)
+            list(pool.map(rank, range(len(queries))))
+    return ranking
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ The functions hashed are those ``corpus.stack_embeddings`` keeps (zero-norm
 ones are dropped, as for every consumer), so a program with none left gets
 the empty sketch. :func:`sketch_blocks` sketches a whole corpus with one
 ``classify`` call and folds it one block of programs at a time, so the
-(N, m/64) word matrix never exists; :func:`hash_programs` collects those
-blocks into a list, and :func:`hash_program` and
+(N, m/64) word matrix never exists; :func:`hash_program` and
 :func:`labels_to_bitvector` are its one-program cases.
 
 The hash family is the splitmix64 finalizer applied to the label XORed
@@ -134,23 +133,11 @@ def _fold_blocks(pairs: np.ndarray, k: int, n: int, hasher: FeatureHasher) -> It
         yield _fold(block // k - start, (block % k).astype(np.uint64), stop - start, hasher)
 
 
-def hash_programs(
-    programs: Sequence[ProgramRecord], model: CentroidModel, hasher: FeatureHasher
-) -> list[StructuralEmbedding]:
-    """Sketch every program, in input order: :func:`sketch_blocks` as one
-    list."""
-    return [
-        StructuralEmbedding(row, hasher.m)
-        for words in sketch_blocks(programs, model, hasher)
-        for row in words
-    ]
-
-
 def hash_program(
     program: ProgramRecord, model: CentroidModel, hasher: FeatureHasher
 ) -> StructuralEmbedding:
-    """Sketch one program: :func:`hash_programs` of a one-program corpus."""
-    return hash_programs([program], model, hasher)[0]
+    """Sketch one program: :func:`sketch_blocks` of a one-program corpus."""
+    return StructuralEmbedding(next(sketch_blocks([program], model, hasher))[0], hasher.m)
 
 
 def jaccard(a: StructuralEmbedding, b: StructuralEmbedding) -> float:
@@ -216,12 +203,6 @@ def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep = np.flatnonzero(vals)
         row, base, vals = row[keep], base[keep], vals[keep]
     return np.concatenate(rows), np.concatenate(positions)
-
-
-def build_postings(words: np.ndarray, m: int) -> Postings:
-    """Invert a packed (N, words) matrix into per-bit posting lists: its
-    :func:`set_bits`, then :meth:`Postings.from_bits`."""
-    return Postings.from_bits(*set_bits(words), m, words.shape[0])
 
 
 def jaccard_many(

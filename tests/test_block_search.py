@@ -1,4 +1,4 @@
-"""Semantic ``index-search`` in blocks of queries answers like ``search.search``.
+"""``batch_search`` and ``index-search`` answer like ``search.search``.
 
 ``index-search`` scores a ``.sem`` repository one block of query rows at a
 time, with one GEMM per block; ``search.search`` is the one-row case. The
@@ -8,7 +8,13 @@ patched to one row, three rows and more rows than there are queries.
 Repositories hold repeated rows, zero rows and unsorted ids; queries include
 zero vectors. The array writer must write, or refuse, exactly as the
 ``SearchResult`` writer does.
+
+A structural batch copies each query's ``search.search`` arrays into its
+ranking; it must do so in both index forms, at any ``workers``, and rank as
+a stable argsort of the dense scores does.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from binsketch.corpus import (
     save_structural,
 )
 from binsketch.errors import ValidationError
+from binsketch.structural import set_bits
 
 
 def _rows(rng, n, d, repeats, zeros):
@@ -156,3 +163,107 @@ def test_write_hits_writes_or_rejects_as_save_results_does(tmp_path_factory, ids
             assert not (tmp / name).exists()
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def _structural_cases(draw):
+    """A repository of n packed rows under unsorted ids, with empty and
+    repeated rows, so ties straddle rank k; queries copy repository rows,
+    are empty or are random."""
+    m = draw(st.sampled_from([64, 128, 1024]))
+    n = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5]))
+    bits = (rng.random((n + 6, m)) < density).astype(np.uint8)
+    for i in range(n + 6):
+        pick = draw(st.sampled_from(["random", "empty", "copy"]))
+        if pick == "empty":
+            bits[i] = 0
+        elif pick == "copy" and i:
+            bits[i] = bits[draw(st.integers(0, i - 1))]
+    rows = [StructuralEmbedding.from_bits(row) for row in bits]
+    ids = [f"p{i:02d}" for i in draw(st.permutations(range(n)))]
+    return m, ids, rows[:n], rows[n:], draw(st.integers(1, n + 5))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_structural_cases())
+def test_structural_batches_copy_search_in_both_index_forms(tmp_path_factory, case):
+    m, ids, rows, queries, k = case
+    words = np.array([row.words for row in rows], dtype=np.uint64).reshape(len(rows), m // 64)
+    pops = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    sparse = search.StructuralIndex.from_set_bits(ids, pops, *set_bits(words), m)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    dense = search.StructuralIndex(sparse.program_ids, words[order], pops[order], m)
+    assert sparse.program_ids == sorted(ids)
+    qids = [f"q{i}" for i in range(len(queries))]
+    tmp = tmp_path_factory.mktemp("stru")
+    for index in (sparse, dense):
+        results = [search.search(index, query, k) for query in queries]
+        search.save_results(list(zip(qids, results)), str(tmp / "expected.tsv"))
+        for workers in (1, 2):
+            ranking = search.batch_search(index, queries, k, workers=workers)
+            assert ranking.rows.shape == (len(queries), min(k, len(ids)))
+            for q, (query, result) in enumerate(zip(queries, results)):
+                assert ranking.rows[q].tolist() == result.rows.tolist()
+                assert ranking.scores[q].tobytes() == result.scores.tobytes()
+                stable = np.argsort(-dense.scores(query), kind="stable")[:k]
+                assert ranking.rows[q].tolist() == stable.tolist()
+            search.write_hits(str(tmp / "hits.tsv"), qids, ranking)
+            assert (tmp / "hits.tsv").read_bytes() == (tmp / "expected.tsv").read_bytes()
+
+
+def test_structural_threads_fill_their_own_rows():
+    # More threads than cores, switching as often as the interpreter allows:
+    # each thread writes only its queries' rows of the shared ranking.
+    rng = np.random.default_rng(11)
+    rows = [StructuralEmbedding.from_bits(rng.integers(0, 2, 1024)) for _ in range(300)]
+    index = search.build([(f"p{i:03d}", row) for i, row in enumerate(rows[:200])])
+    assert isinstance(index.rows, np.ndarray)
+    serial = search.batch_search(index, rows[200:], k=7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = search.batch_search(index, rows[200:], k=7, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.rows.tolist() == serial.rows.tolist()
+    assert threaded.scores.tobytes() == serial.scores.tobytes()
+
+
+def test_empty_result_has_no_hits():
+    empty = search.build([])
+    assert search.search(empty, StructuralEmbedding.from_bits([1, 0]), 3).hits == []
+    assert search.SearchResult([], np.empty(0, dtype=np.intp), np.empty(0)).hits == []
+
+
+def test_results_are_equal_when_their_hits_are():
+    one = search.SearchResult(["a", "b"], np.array([1, 0]), np.array([0.5, 0.25]))
+    same = search.SearchResult(["b", "c", "a"], np.array([0, 2]), np.array([0.5, 0.25]))
+    assert one.hits == [search.Hit("b", 0.5), search.Hit("a", 0.25)]
+    assert one == same
+    assert one != search.SearchResult(["a", "b"], np.array([1, 0]), np.array([0.5, 0.5]))
+    assert one != search.SearchResult(["a", "b"], np.array([1]), np.array([0.5]))
+    assert one != one.hits
+
+
+def test_ranking_rows_read_back_as_search_results():
+    # Structural only: a semantic block may score in other last bits than
+    # one row does (see the search module).
+    rng = np.random.default_rng(5)
+    embs = [StructuralEmbedding.from_bits(rng.integers(0, 2, 128)) for _ in range(12)]
+    index = search.build([(f"p{i:02d}", emb) for i, emb in enumerate(embs[:9])])
+    ranking = search.batch_search(index, embs[9:], k=4)
+    assert len(ranking) == 3
+    for q, query in enumerate(embs[9:]):
+        assert ranking[q] == search.search(index, query, 4)
+    assert ranking == [search.search(index, query, 4) for query in embs[9:]]
+
+
+@pytest.mark.parametrize("kind", ["stru", "sem"])
+def test_empty_repository_ranks_to_no_hits(kind):
+    queries = ([StructuralEmbedding.from_bits([1, 0])] * 2 if kind == "stru"
+               else [SemanticEmbedding(np.ones(3))] * 2)
+    ranking = search.batch_search(search.build([]), queries, k=3)
+    assert ranking.rows.shape == ranking.scores.shape == (2, 0)
+    assert [result.hits for result in ranking] == [[], []]

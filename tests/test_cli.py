@@ -385,6 +385,20 @@ class TestLossCheck:
         assert proc.stdout.splitlines()[-1] == "status=fail"
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("seed", ["4", "7"])
+    def test_overflowing_logits_raise_no_warning(self, seed):
+        # At these seeds the scaled logits hold -inf and inf, so the
+        # logsumexp shift subtracts infinities.
+        src = os.path.dirname(os.path.dirname(binsketch.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "binsketch.cli", "loss-check",
+             "--n", "2", "--d", "2", "--temperature", "1e308", "--seed", seed],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stderr == ""
+        assert proc.returncode == 1
+        assert parse_report(proc.stdout)["status"] == "fail"
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

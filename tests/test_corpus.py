@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binsketch.corpus import (
+    STRUCTURAL,
     FunctionRecord,
     ProgramRecord,
     SemanticEmbedding,
@@ -162,18 +163,23 @@ class TestCorpusFormat:
             load_corpus(str(path))
 
 
+def _payload(emb):
+    """The KHSTRU1 payload bytes of one sketch."""
+    return STRUCTURAL.encode(emb.m, emb.words[np.newaxis])[0].tobytes()
+
+
 class TestStructuralEmbedding:
     def test_bit_positions_map_to_bytes(self):
         bits = np.zeros(1024, dtype=np.uint8)
         bits[13] = 1
         emb = StructuralEmbedding.from_bits(bits)
-        raw = emb.to_bytes()
+        raw = _payload(emb)
         assert raw[1] == 1 << 5  # bit 13 -> byte 13>>3, position 13&7
         assert sum(raw) == 1 << 5
 
     def test_m_1024_packs_to_128_bytes(self):
         emb = StructuralEmbedding.from_bits(np.zeros(1024, dtype=np.uint8))
-        assert len(emb.to_bytes()) == 128
+        assert len(_payload(emb)) == 128
         assert emb.popcount() == 0
 
     def test_bits_round_trip(self, rng):
@@ -185,7 +191,8 @@ class TestStructuralEmbedding:
     def test_from_bytes_inverts_to_bytes(self, rng):
         bits = (rng.random(4096) < 0.5).astype(np.uint8)
         emb = StructuralEmbedding.from_bits(bits)
-        again = StructuralEmbedding.from_bytes(emb.to_bytes(), emb.m)
+        raw = np.frombuffer(_payload(emb), dtype=np.uint8)[np.newaxis]
+        again = StructuralEmbedding(STRUCTURAL.decode("x.stru", emb.m, ["p"], raw)[0], emb.m)
         assert again == emb
 
     def test_word_count_must_match_m(self):

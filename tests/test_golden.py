@@ -20,7 +20,7 @@ from binsketch.corpus import (
 )
 from binsketch.cli import main
 from binsketch.kmeans import CentroidModel, load_model, save_model
-from binsketch.search import Hit, SearchResult, load_results, save_results
+from binsketch.search import SearchResult, load_results, save_results
 
 
 def _bits(m, on):
@@ -58,16 +58,22 @@ MODEL_HEX = (
 )
 
 RESULTS = [
-    ("q0", SearchResult([Hit("a", 1.0), Hit("b", 0.25)])),
-    ("q1", SearchResult([Hit("c", 1 / 3)])),
+    ("q0", SearchResult(["a", "b", "c"], np.array([0, 1]), np.array([1.0, 0.25]))),
+    ("q1", SearchResult(["a", "b", "c"], np.array([2]), np.array([1 / 3]))),
 ]
 RESULTS_BYTES = b"q0\t1\ta\t1.000000\nq0\t2\tb\t0.250000\nq1\t1\tc\t0.333333\n"
+
+
+def _result(pairs):
+    """A result whose hits are the (program_id, score) pairs, in order."""
+    ids = [pid for pid, _ in pairs]
+    return SearchResult(ids, np.arange(len(ids)), np.array([score for _, score in pairs]))
 
 
 def _reload_results(path, out):
     loaded = load_results(path)
     save_results(
-        [(qid, SearchResult([Hit(pid, score) for pid, score in rows])) for qid, rows in loaded],
+        [(qid, _result(rows)) for qid, rows in loaded],
         out,
     )
 

@@ -1,6 +1,6 @@
 """Whole-corpus sketching equals sketching each program on its own.
 
-``structural.hash_programs`` and ``semantic.hash_programs`` work over the
+``structural.sketch_blocks`` and ``semantic.hash_programs`` work over the
 stacked functions of a whole corpus; each program's result must not depend
 on its neighbours, and must match an oracle built from the program alone.
 """
@@ -103,11 +103,17 @@ def test_rows_whose_norm_underflows_are_dropped_for_both_sketches(caplog):
     assert semantic.hash_program(programs[0], cfg) == semantic.hash_program(alone, cfg)
 
 
+def _sketches(programs):
+    """Every program's sketch from the blocks of one ``sketch_blocks``."""
+    blocks = structural.sketch_blocks(programs, MODEL, HASHER)
+    return [structural.StructuralEmbedding(row, M) for words in blocks for row in words]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_CORPUS)
 def test_structural_corpus_equals_each_program(spec):
     programs = _programs(spec)
-    got = structural.hash_programs(programs, MODEL, HASHER)
+    got = _sketches(programs)
     assert got == [structural.hash_program(p, MODEL, HASHER) for p in programs]
     for sketch, functions in zip(got, spec):
         labels = [label for label, *_ in functions if label is not None]
@@ -117,7 +123,7 @@ def test_structural_corpus_equals_each_program(spec):
 def test_colliding_pairs_cancel_and_reinforce():
     for a, b in zip(COLLIDING[::2], COLLIDING[1::2]):
         program = _programs([[(a, 1.0, 1, 0), (b, 1.0, 1, 0)]])
-        sketch = structural.hash_programs(program, MODEL, HASHER)[0]
+        sketch = _sketches(program)[0]
         assert sketch.popcount() == (1 if _SIGN[a] == _SIGN[b] else 0)
 
 

@@ -28,7 +28,7 @@ from binsketch.corpus import (
 )
 from binsketch.errors import ValidationError
 from binsketch.metrics import load_class_map, save_class_map
-from binsketch.search import Hit, SearchResult, load_results, save_results
+from binsketch.search import SearchResult, load_results, save_results
 
 # Arbitrary text, with the two TSV separators and lone surrogates drawn
 # often enough to matter.
@@ -94,8 +94,10 @@ def test_writers_reject_or_round_trip(tmp_path_factory, data):
         _unencodable(*ids),
     )
 
-    hits = [Hit(pid, score) for pid, score in zip(ids, [1.0, 0.5, 1 / 3, 0.0])]
-    results = [(qid, SearchResult(hits[: i % 3])) for i, qid in enumerate(ids)]
+    scores = np.array([1.0, 0.5, 1 / 3, 0.0])
+    results = [
+        (qid, SearchResult(ids, np.arange(i % 3), scores[: i % 3])) for i, qid in enumerate(ids)
+    ]
     expected = [
         (qid, [(h.program_id, float(f"{h.score:.6f}")) for h in res.hits])
         for qid, res in results
@@ -126,7 +128,9 @@ def test_writers_reject_or_round_trip(tmp_path_factory, data):
             [ProgramRecord("a\tb", [FunctionRecord("f", np.ones(2), loc=1, nos=0)])], path
         ),
         lambda path: save_class_map({"a\nb": "c"}, path),
-        lambda path: save_results([("q", SearchResult([Hit("p\tq", 1.0)]))], path),
+        lambda path: save_results(
+            [("q", SearchResult(["p\tq"], np.array([0]), np.ones(1)))], path
+        ),
     ],
     ids=["corpus", "class_map", "results"],
 )
@@ -142,7 +146,9 @@ def test_separator_in_id_rejected(tmp_path, save):
             [ProgramRecord("a\ud800", [FunctionRecord("f", np.ones(2), loc=1, nos=0)])], path
         ),
         lambda path: save_class_map({"a": "c\ud800"}, path),
-        lambda path: save_results([("q", SearchResult([Hit("a\ud800", 1.0)]))], path),
+        lambda path: save_results(
+            [("q", SearchResult(["a\ud800"], np.array([0]), np.ones(1)))], path
+        ),
         lambda path: save_structural(
             [("a\ud800", StructuralEmbedding.from_bits([1, 0]))], path
         ),

@@ -30,11 +30,13 @@ from binsketch.corpus import (
     write_records,
 )
 from binsketch.errors import FormatError, ValidationError
+from binsketch.kmeans import MODEL_FORMAT
 from binsketch.search import batch_search, build, load_index
 from binsketch.structural import Postings
 
 M, D = 100, 3  # m = 100 leaves four padding bits in the last payload byte
 SIZES = {"stru": (M + 7) // 8, "sem": 4 * D}
+WORDS = (M + 63) // 64
 HEADER = {"stru": 7 + 12, "sem": 6 + 12}
 IDS = [f"p{i:02d}" for i in range(10)]
 LATER = 7  # the faulty record: second in the third block of three
@@ -244,7 +246,7 @@ def test_header_fault_leaves_no_file_open(files, no_open_files):
 
 
 def _blocks_then_fail():
-    yield np.zeros((1, SIZES["stru"]), dtype=np.uint8)
+    yield np.zeros((1, WORDS), dtype=np.uint64)
     raise ValidationError("block two failed")
 
 
@@ -252,9 +254,9 @@ def _blocks_then_fail():
     "blocks, message",
     [
         (_blocks_then_fail, "block two failed"),
-        (lambda: [np.zeros((1, SIZES["stru"]), dtype=np.uint8)], "1 payloads for 2 ids"),
-        (lambda: [np.zeros((3, SIZES["stru"]), dtype=np.uint8)], "does not fit 2 records"),
-        (lambda: [np.zeros((2, SIZES["stru"] + 1), dtype=np.uint8)], "does not fit 2 records"),
+        (lambda: [np.zeros((1, WORDS), dtype=np.uint64)], "1 payloads for 2 ids"),
+        (lambda: [np.zeros((3, WORDS), dtype=np.uint64)], "does not fit 2 records"),
+        (lambda: [np.zeros((2, WORDS + 1), dtype=np.uint64)], "does not fit 2 records"),
     ],
     ids=["block-fails", "too-few", "too-many", "wrong-width"],
 )
@@ -263,4 +265,21 @@ def test_writer_leaves_no_file_when_a_block_fails(tmp_path, blocks, message):
     path.write_bytes(b"an older file")
     with pytest.raises(ValidationError, match=message):
         write_records(str(path), STRUCTURAL, M, ["a", "b"], blocks())
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, param", [(STRUCTURAL, M), (corpus.SEMANTIC, D), (MODEL_FORMAT, D)],
+    ids=["KHSTRU1", "KHSEM1", "KHKM1"],
+)
+@pytest.mark.parametrize("shape", [lambda w: (2, w - 1), lambda w: (2, w + 1), lambda w: (2 * w,)],
+                         ids=["narrow", "wide", "flat"])
+def test_writer_refuses_rows_of_another_width(tmp_path, fmt, param, shape):
+    # A structural row one word too wide would still encode to (m + 7) // 8
+    # bytes if the writer only cut each row to its payload size.
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"an older file")
+    rows = np.zeros(shape(fmt.width(param)), dtype=fmt.dtype)
+    with pytest.raises(ValidationError, match="does not fit 2 records"):
+        write_records(str(path), fmt, param, ["a", "b"], [rows])
     assert not path.exists()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from binsketch.corpus import StructuralEmbedding
 from binsketch.search import StructuralIndex, build, search
-from binsketch.structural import Postings, build_postings, jaccard_many, set_bits
+from binsketch.structural import Postings, jaccard_many, set_bits
 
 # From empty to all-ones, with the sparse end drawn most often.
 DENSITIES = st.sampled_from([0.0, 0.0, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 1.0])
@@ -56,7 +56,7 @@ def test_postings_kernel_equals_dense_kernel(case):
     entries.sort()
     ids = [pid for pid, _ in entries]
     words, pops = pack_rows([emb for _, emb in entries])
-    postings = build_postings(words, m)
+    postings = Postings.from_bits(*set_bits(words), m, len(words))
 
     dense = jaccard_many(query, words, pops)
     sparse = jaccard_many(query, postings, pops)
@@ -78,7 +78,7 @@ def test_postings_list_every_set_bit_once(case):
     m, entries, _, _ = case
     embs = [emb for _, emb in sorted(entries)]
     words, _ = pack_rows(embs)
-    postings = build_postings(words, m)
+    postings = Postings.from_bits(*set_bits(words), m, len(words))
     assert postings.rows.dtype == np.int32
     assert postings.offsets.shape == (m + 1,)
     bits = np.array([emb.bits() for emb in embs])
