@@ -10,7 +10,8 @@ Three formats live here:
   (magic ``KHSEM1``).
 
 Writers are canonical: saving the result of a load reproduces the input
-file byte for byte.
+file byte for byte. Each writes as it goes, and one helper removes the file
+at its path if anything fails after it was opened, even an older file.
 
 The text readers (:func:`load_corpus` here, ``search.load_results`` and
 ``metrics.load_class_map``) stream their file through
@@ -23,15 +24,15 @@ The binary containers (these two and the centroid model, ``KHKM1``) share
 one codec. Each container's byte layout is one :class:`RecordFormat`: the
 rows callers hold, ``encode`` of them into payload bytes and ``decode``
 back. :func:`write_records` writes the ids plus blocks of rows, each
-checked against the format's width before it is encoded, and
-:class:`RecordBlocks` reads records in blocks of about 1 MB, so no
-reader needs the file whole. It reads the file through one small buffer,
-refilled by one ``readinto``, and walks the records' id length prefixes
-inside it. A block's records are checked as they are
-read (truncation, ids that are not UTF-8, trailing bytes after the last
-record), then its payloads (padding bits, non-finite values); across
-blocks, the first error in file order is reported. :func:`read_records`
-reads every block's payloads into one matrix.
+checked against the format's width and padding bits before it is encoded,
+and :class:`RecordBlocks` reads records in blocks of about 1 MB, so no
+reader needs the file whole. It reads each record straight from a buffered
+file: its length prefix, its id, then its payload into the block's row. A
+block's records are checked as they are read (truncation, ids that are not
+UTF-8, trailing bytes after the last record), then its payloads (padding
+bits, non-finite values); across blocks, the first error in file order is
+reported. :func:`read_records` reads every block's payloads into one
+matrix.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import logging
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -60,9 +62,9 @@ _CHUNK_BYTES = 1 << 16
 # About how many payload bytes one block of container records holds.
 _BLOCK_BYTES = 1 << 20
 
-# How many bytes of a container one read brings in (more if one record needs
-# more): small enough that a small file touches little fresh memory.
-_READ_BYTES = 1 << 16
+# The file buffer of a container read and of every write: few system calls,
+# and small enough that a small file touches little fresh memory.
+_BUFFER_BYTES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -276,17 +278,30 @@ def numbered_lines(path: str) -> Iterator[tuple[int, str]]:
         yield from enumerate(lines, start=first)
 
 
-def write_lines(path: str, lines: list[str]) -> None:
-    """Write each line and a newline as UTF-8; no lines give an empty file.
+@contextmanager
+def _writing(path: str):
+    """Open ``path`` for writing bytes; if the block raises, the file
+    ``path`` names (through any symlink) is removed, so a writer that fails
+    part-way leaves none. Only a regular file is removed, never a device
+    such as ``/dev/stdout``."""
+    fh = open(path, "wb", buffering=_BUFFER_BYTES)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(os.path.realpath(path))
+        raise
 
-    The text is encoded before the file is opened, so a line UTF-8 cannot
-    encode leaves no file behind.
-    """
-    payload = "\n".join(lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        if lines:
-            fh.write(payload)
-            fh.write(b"\n")
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a newline as UTF-8, each encoded as it is written
+    (no lines give an empty file), so ``lines`` may be computed meanwhile. A
+    failure part-way, from ``lines`` or from a line UTF-8 cannot encode,
+    removes the file."""
+    with _writing(path) as fh:
+        for line in lines:
+            fh.write((line + "\n").encode("utf-8"))
 
 
 def encode_id(value: str, what: str) -> bytes:
@@ -317,9 +332,13 @@ def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = No
         raise ValidationError("cannot infer embedding dimension from an empty corpus; pass d")
     if d < 1:
         raise ValidationError(f"embedding dimension must be >= 1, got {d}")
+    write_lines(path, _corpus_lines(programs, d))
 
+
+def _corpus_lines(programs: Iterable[ProgramRecord], d: int) -> Iterator[str]:
+    """The lines of a ``KHCORP1`` file, each program checked as it comes."""
     seen: set[str] = set()
-    lines = [f"{CORPUS_MAGIC}\tversion=1\td={d}"]
+    yield f"{CORPUS_MAGIC}\tversion=1\td={d}"
     for prog in programs:
         if prog.program_id in seen:
             raise ValidationError(f"duplicate program_id {prog.program_id!r}")
@@ -344,8 +363,7 @@ def save_corpus(programs: Sequence[ProgramRecord], path: str, d: int | None = No
                 parts.append(f"class_label={fn.class_label}")
             if prog.class_id is not None:
                 parts.append(f"class_id={prog.class_id}")
-            lines.append("\t".join(parts))
-    write_lines(path, lines)
+            yield "\t".join(parts)
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
@@ -440,7 +458,8 @@ class RecordFormat:
     """A fixed-record container and its whole byte layout: the magic, the
     name of its u32 header parameter (checked to be >= 1), the rows callers
     hold for a parameter (``width`` columns of little-endian ``dtype``), the
-    payload bytes per record, :meth:`encode` of rows into payloads and
+    ``bits`` of a row a record keeps (in whole bytes, its payload),
+    :meth:`encode` of rows into payloads and
     ``decode(path, param, ids, raw)``, which turns one block of raw payloads
     (a uint8 row each) into rows, with the checks that need the payload."""
 
@@ -448,14 +467,22 @@ class RecordFormat:
     param: str
     dtype: str
     width: Callable[[int], int]
-    payload_size: Callable[[int], int]
+    bits: Callable[[int], int]
     decode: Callable[[str, int, list[str], np.ndarray], np.ndarray]
+
+    def payload_size(self, param: int) -> int:
+        return (self.bits(param) + 7) // 8
 
     def encode(self, param: int, rows: np.ndarray) -> np.ndarray:
         """The uint8 (n, ``payload_size(param)``) payloads of (n, ``width(param)``)
-        rows: their little-endian bytes, cut to the payload size."""
+        rows: their little-endian bytes, cut to the payload size. A row with
+        a bit set past its ``bits`` (padding) is refused."""
         raw = np.ascontiguousarray(rows, dtype=self.dtype).view(np.uint8)
-        return raw[:, : self.payload_size(param)]
+        whole, part = divmod(self.bits(param), 8)
+        size = whole + (part > 0)
+        if raw[:, size:].any() or part and (raw[:, whole] >> part).any():
+            raise ValidationError(f"padding bits past {self.param} {param} must be zero")
+        return raw[:, :size]
 
 
 def block_rows(row_bytes: int) -> int:
@@ -473,36 +500,31 @@ def write_records(
     then per record a u32 length-prefixed UTF-8 id and its payload.
     ``blocks`` yields the rows in record order as (n, ``fmt.width(param)``)
     arrays whose n sum to ``len(ids)``; they may be computed while the file
-    is written. Each block's shape is checked before it is encoded. The ids
-    are encoded before the file is opened, and a failure part-way removes
-    the partial file.
+    is written. Each block's shape and padding bits are checked before it
+    is encoded, and each id is encoded as its record is written. A failure
+    part-way removes the file.
     """
     if not 1 <= param < 1 << 32:
         raise ValidationError(f"{fmt.magic.decode()} parameter must be in [1, 2**32), got {param}")
-    heads = [struct.pack("<I", len(raw)) + raw for raw in (encode_id(pid, "id") for pid in ids)]
     width = fmt.width(param)
-    with open(path, "wb") as fh:
-        try:
-            fh.write(fmt.magic + struct.pack("<IQ", param, len(heads)))
-            pending = iter(heads)
-            done = 0
-            for block in blocks:
-                done += len(block)
-                if block.ndim != 2 or block.shape[1] != width or done > len(heads):
-                    raise ValidationError(
-                        f"a block of shape {block.shape} does not fit "
-                        f"{len(heads)} records of {width} values"
-                    )
-                # The block comes first, so zip stops without taking a head.
-                for row, head in zip(fmt.encode(param, block), pending):
-                    fh.write(head)
-                    fh.write(row)
-            if done != len(heads):
-                raise ValidationError(f"{done} payloads for {len(heads)} ids")
-        except BaseException:
-            fh.close()
-            os.remove(path)
-            raise
+    with _writing(path) as fh:
+        fh.write(fmt.magic + struct.pack("<IQ", param, len(ids)))
+        pending = iter(ids)
+        done = 0
+        for block in blocks:
+            done += len(block)
+            if block.ndim != 2 or block.shape[1] != width or done > len(ids):
+                raise ValidationError(
+                    f"a block of shape {block.shape} does not fit "
+                    f"{len(ids)} records of {width} values"
+                )
+            # The block comes first, so zip stops without taking an id.
+            for row, pid in zip(fmt.encode(param, block), pending):
+                raw = encode_id(pid, "id")
+                fh.write(len(raw).to_bytes(4, "little") + raw)
+                fh.write(row)
+        if done != len(ids):
+            raise ValidationError(f"{done} payloads for {len(ids)} ids")
 
 
 class RecordBlocks:
@@ -523,8 +545,7 @@ class RecordBlocks:
     def __init__(self, path: str, fmt: RecordFormat):
         self.path = path
         self._format = fmt
-        # Unbuffered: the records are read into a buffer of our own.
-        self._fh = open(path, "rb", buffering=0)
+        self._fh = open(path, "rb", buffering=_BUFFER_BYTES)
         try:
             head = self._fh.read(len(fmt.magic) + 12)
             if not head.startswith(fmt.magic):
@@ -554,23 +575,6 @@ class RecordBlocks:
     def close(self) -> None:
         self._fh.close()
 
-    def _fill(self, buf: bytearray, start: int, stop: int, need: int) -> tuple[bytearray, int]:
-        """Move the unread bytes ``buf[start:stop]`` to the front, into a new
-        buffer if ``need`` bytes do not fit, and read the file into the rest
-        with one ``readinto``. Returns the buffer and how many bytes it holds,
-        at least ``need``: fewer means the file shrank while it was read,
-        which is truncation."""
-        if need > len(buf):
-            buf, buf[: stop - start] = bytearray(need), buf[start:stop]
-        else:  # the same length: allowed while ``buf`` is viewed
-            buf[: stop - start] = buf[start:stop]
-        stop -= start
-        with memoryview(buf) as rest:
-            stop += self._fh.readinto(rest[stop:]) or 0
-        if stop < need:
-            raise self._truncated()
-        return buf, stop
-
     def __iter__(self) -> Iterator[tuple[list[str], np.ndarray]]:
         return self._blocks(None)
 
@@ -579,43 +583,32 @@ class RecordBlocks:
         in the next rows of ``into`` (a (count, size) uint8 matrix) or, with
         None, in a new array per block."""
         size, rows = self.size, block_rows(4 + self.size)
-        prefix = struct.Struct("<I").unpack_from
+        read, readinto, from_bytes = self._fh.read, self._fh.readinto, int.from_bytes
         # The bytes the file holds beyond 4 + size per record: the ids must
         # fit in them, and what is left after the last record is trailing.
         spare = self._file_size - self._fh.tell() - self.count * (4 + size)
-        # One small buffer serves every block: it is refilled by one
-        # readinto whenever the next record does not fit in what is left.
-        buf = bytearray(min(_READ_BYTES, self._file_size - self._fh.tell()))
-        view, start, stop = memoryview(buf), 0, 0
         try:
             for done in range(0, self.count, rows):
                 n = min(rows, self.count - done)
                 raw = np.empty((n, size), np.uint8) if into is None else into[done:done + n]
                 ids: list[str] = []
-                with memoryview(raw).cast("B") as out:
-                    for at in range(0, n * size, size):
-                        if stop - start < 4 + size:
-                            buf, stop = self._fill(buf, start, stop, 4 + size)
-                            view, start = memoryview(buf), 0
-                        (length,) = prefix(buf, start)
-                        spare -= length
-                        if spare < 0:
-                            raise self._truncated()
-                        if stop - start < 4 + length + size:
-                            buf, stop = self._fill(buf, start, stop, 4 + length + size)
-                            view, start = memoryview(buf), 0
-                        start += 4 + length
-                        try:
-                            ids.append(buf[start - length:start].decode("utf-8"))
-                        except UnicodeDecodeError:
-                            raise FormatError(f"{self.path}: id is not valid UTF-8") from None
-                        out[at:at + size] = view[start:start + size]
-                        start += size
+                for row in raw:
+                    # A read cut short (the file shrank) leaves the payload short.
+                    length = from_bytes(read(4), "little")
+                    spare -= length
+                    if spare < 0:
+                        raise self._truncated()
+                    pid = read(length)
+                    if readinto(row) < size:
+                        raise self._truncated()
+                    try:
+                        ids.append(pid.decode())
+                    except UnicodeDecodeError:
+                        raise FormatError(f"{self.path}: id is not valid UTF-8") from None
                 if done + n == self.count and spare:
                     raise FormatError(f"{self.path}: {spare} trailing bytes")
                 yield ids, self._format.decode(self.path, self.param, ids, raw)
         finally:
-            view.release()
             self.close()
 
     def read_all(self) -> tuple[list[str], np.ndarray]:
@@ -658,10 +651,10 @@ def _semantic_rows(path: str, d: int, ids: list[str], raw: np.ndarray) -> np.nda
 
 STRUCTURAL = RecordFormat(
     STRUCTURAL_MAGIC, "bit-vector length", "<u8",
-    lambda m: (m + 63) // 64, lambda m: (m + 7) // 8, _structural_rows,
+    lambda m: (m + 63) // 64, lambda m: m, _structural_rows,
 )
 SEMANTIC = RecordFormat(
-    SEMANTIC_MAGIC, "dimension", "<f4", lambda d: d, lambda d: 4 * d, _semantic_rows
+    SEMANTIC_MAGIC, "dimension", "<f4", lambda d: d, lambda d: 32 * d, _semantic_rows
 )
 _FORMATS = {"structural": STRUCTURAL, "semantic": SEMANTIC}
 

@@ -21,7 +21,7 @@ logger = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"KHKM1"
 MODEL_FORMAT = RecordFormat(
-    MODEL_MAGIC, "dimension", "<f4", lambda d: d, lambda d: 4 * d,
+    MODEL_MAGIC, "dimension", "<f4", lambda d: d, lambda d: 32 * d,
     lambda path, d, ids, raw: raw.view("<f4"),
 )
 

@@ -21,7 +21,8 @@ A top k is held as arrays, repository rows and scores, best first: one
 query's as a :class:`SearchResult`, whose ``Hit`` objects are built only
 when its ``hits`` are read, and a batch's as a :class:`Ranking`, which a
 structural batch fills by copying each :func:`search` result into it.
-:func:`write_hits` writes the hits file straight from a ranking's arrays.
+:func:`write_hits` writes the hits file straight from a ranking's arrays,
+one query's lines at a time.
 
 A structural index picks its Jaccard kernel once, when it is built. If the
 repository holds fewer set bits in total than it has packed words, it keeps
@@ -48,10 +49,11 @@ builds the (N, words) matrix only for a dense index, which keeps it;
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -446,53 +448,53 @@ def bench(repo: Index, queries: Sequence, rounds: int = 1) -> BenchReport:
 
 
 def save_results(results: Sequence[tuple[str, SearchResult]], path: str) -> None:
-    """Write ranked hits as query_id, rank, program_id, score rows (6dp).
-
-    Query ids must be unique, and no id may hold a tab, a newline or a lone
-    surrogate. Nothing is written unless every id passes.
-    """
-    lines = []
-    seen: set[str] = set()
-    for query_id, result in results:
-        _check_query_id(query_id, seen)
-        for rank, hit in enumerate(result.hits, start=1):
-            check_field(hit.program_id, "program id")
-            lines.append(f"{query_id}\t{rank}\t{hit.program_id}\t{hit.score:.6f}")
-    write_lines(path, lines)
+    """Write ranked hits as query_id, rank, program_id, score rows (6dp),
+    one query's lines at a time (see :func:`_hit_lines`)."""
+    write_lines(path, _hit_lines((qid, r.program_ids, r.rows, r.scores) for qid, r in results))
 
 
 def write_hits(path: str, query_ids: Sequence[str], ranking: Ranking) -> None:
     """Write a :class:`Ranking` as :func:`save_results` writes its results,
-    straight from its arrays: each repository id is checked once, when a hit
-    first names it, so the first bad id in line order is the one reported."""
+    straight from its arrays."""
     if len(query_ids) != len(ranking):
         raise ValidationError(f"{len(query_ids)} query ids for {len(ranking)} rankings")
-    ids = ranking.program_ids
-    checked = np.zeros(len(ids), dtype=bool)
+    ids = [ranking.program_ids] * len(ranking)
+    write_lines(path, _hit_lines(zip(query_ids, ids, ranking.rows, ranking.scores)))
+
+
+def _hit_lines(results: Iterable[tuple]) -> Iterator[str]:
+    """Each query's lines of a hits file, joined by newlines, from its
+    (query id, repository ids, hit rows, hit scores).
+
+    Query ids must be unique, and no id may hold a tab, a newline or a lone
+    surrogate. Each repository id is checked once, when a hit first names
+    it, so the first bad id in line order is the one reported.
+    """
     seen: set[str] = set()
-    # One %-format per query: its lines with the ranks filled in, then its
-    # hit ids and scores interleaved.
-    lines = [f"\t{rank}\t%s\t%.6f" for rank in range(1, ranking.rows.shape[1] + 1)]
-    values: list = [None] * (2 * len(lines))
-    blocks = []
-    for query_id, rows, scores in zip(query_ids, ranking.rows, ranking.scores):
-        _check_query_id(query_id, seen)
+    checked_ids, checked = None, None
+    for query_id, ids, rows, scores in results:
+        if query_id in seen:
+            raise ValidationError(f"duplicate query id {query_id!r}")
+        seen.add(query_id)
+        check_field(query_id, "query id")
+        if ids is not checked_ids:  # another repository's ids: none checked yet
+            checked_ids, checked = ids, np.zeros(len(ids), dtype=bool)
         for row in rows[~checked[rows]].tolist():
             check_field(ids[row], "program id")
         checked[rows] = True
-        if lines:
+        hits = [ids[row] for row in rows.tolist()]
+        if hits:
             head = query_id.replace("%", "%%")
-            values[0::2] = [ids[row] for row in rows.tolist()]
-            values[1::2] = scores.tolist()
-            blocks.append((head + ("\n" + head).join(lines)) % tuple(values))
-    write_lines(path, blocks)
+            values: list = [None] * (2 * len(hits))
+            values[0::2], values[1::2] = hits, scores.tolist()
+            yield (head + ("\n" + head).join(_rank_lines(len(hits)))) % tuple(values)
 
 
-def _check_query_id(query_id: str, seen: set[str]) -> None:
-    if query_id in seen:
-        raise ValidationError(f"duplicate query id {query_id!r}")
-    seen.add(query_id)
-    check_field(query_id, "query id")
+@functools.cache
+def _rank_lines(hits: int) -> tuple[str, ...]:
+    """The %-format of each rank's line after its query id: a query's lines
+    are one format, filled in with its hit ids and scores interleaved."""
+    return tuple(f"\t{rank}\t%s\t%.6f" for rank in range(1, hits + 1))
 
 
 def load_results(path: str) -> list[tuple[str, list[tuple[str, float]]]]:

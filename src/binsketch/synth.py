@@ -107,22 +107,24 @@ def _instantiate(
     bases: list[_Base],
 ) -> ProgramRecord:
     order = rng.permutation(len(bases))
-    functions = []
-    for slot, idx in enumerate(order):
-        base = bases[idx]
-        if cfg.noise > 0:
-            emb = base.vector + cfg.noise * rng.standard_normal(cfg.d) / np.sqrt(cfg.d)
-        else:
-            emb = base.vector.copy()
-        functions.append(
-            FunctionRecord(
-                function_id=f"{program_id}.f{slot:04d}",
-                embedding=emb,
-                loc=base.loc,
-                nos=base.nos,
-                class_label=base.label,
-            )
+    embeddings = np.array([bases[idx].vector for idx in order])
+    if cfg.noise > 0:
+        # One draw for the program gives the values of one draw per function.
+        # A finite noise near the float64 limit can still overflow.
+        with np.errstate(over="ignore"):
+            embeddings += cfg.noise * rng.standard_normal(embeddings.shape) / np.sqrt(cfg.d)
+        if not np.isfinite(embeddings).all():
+            raise ConfigError(f"noise must keep embeddings finite, got {cfg.noise}")
+    functions = [
+        FunctionRecord(
+            function_id=f"{program_id}.f{slot:04d}",
+            embedding=emb,
+            loc=bases[idx].loc,
+            nos=bases[idx].nos,
+            class_label=bases[idx].label,
         )
+        for slot, (idx, emb) in enumerate(zip(order, embeddings))
+    ]
     return ProgramRecord(program_id=program_id, functions=functions, class_id=class_id)
 
 

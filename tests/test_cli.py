@@ -529,8 +529,17 @@ class TestExitCodes:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("noise", ["nan", "inf"])
-    def test_non_finite_synth_noise_is_usage_error(self, tmp_path, capsys, noise):
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            ("nan", "noise must be finite and >= 0, got nan"),
+            ("inf", "noise must be finite and >= 0, got inf"),
+            # Finite, but noise times a standard normal draw overflows.
+            ("1e308", "noise must keep embeddings finite, got 1e+308"),
+        ],
+        ids=["nan", "inf", "1e308"],
+    )
+    def test_non_finite_synth_noise_is_usage_error(self, tmp_path, capsys, noise, message):
         code, _, err = run_cli(
             capsys, "synth",
             "--classes", "2", "--programs-per-class", "1", "--noise", noise,
@@ -538,7 +547,7 @@ class TestExitCodes:
             "--out-query", str(tmp_path / "q.tsv"),
         )
         assert code == 2
-        assert err.splitlines() == [f"error: noise must be finite and >= 0, got {noise}"]
+        assert err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "r.tsv").exists()
 
     @pytest.mark.parametrize(

@@ -25,10 +25,11 @@ from binsketch.corpus import (
     save_corpus,
     save_semantic,
     save_structural,
+    write_lines,
 )
 from binsketch.errors import ValidationError
 from binsketch.metrics import load_class_map, save_class_map
-from binsketch.search import SearchResult, load_results, save_results
+from binsketch.search import Ranking, SearchResult, load_results, save_results, write_hits
 
 # Arbitrary text, with the two TSV separators and lone surrogates drawn
 # often enough to matter.
@@ -160,3 +161,79 @@ def test_lone_surrogate_in_id_rejected_before_writing(tmp_path, save):
     with pytest.raises(ValidationError, match="lone surrogate"):
         save(str(path))
     assert not path.exists()
+
+
+def _programs(*ids):
+    return [ProgramRecord(pid, [FunctionRecord("f", np.ones(2), loc=1, nos=0)]) for pid in ids]
+
+
+def _result(*ids):
+    return SearchResult(list(ids), np.arange(len(ids)), np.ones(len(ids)))
+
+
+@pytest.mark.parametrize(
+    "save, message",
+    [
+        (lambda path: save_corpus(_programs("a", "b", "a"), path), "duplicate program_id"),
+        (lambda path: save_corpus(_programs("a", "b\tc"), path), "tab or newline"),
+        (lambda path: save_results([("q", _result("a")), ("r", _result("b\nc"))], path),
+         "tab or newline"),
+        (lambda path: save_results([("q", _result("a")), ("q", _result("b"))], path),
+         "duplicate query id"),
+        (lambda path: write_hits(path, ["q", "r\ud800"], Ranking(["a"], np.zeros((2, 1), np.intp),
+                                                                  np.ones((2, 1)))),
+         "lone surrogate"),
+        (lambda path: write_hits(path, ["q", "r"], Ranking(["a", "b\tc"], np.array([[0], [1]]),
+                                                            np.ones((2, 1)))),
+         "tab or newline"),
+        (lambda path: save_semantic(
+            [("a", SemanticEmbedding([1.0])), ("b\ud800", SemanticEmbedding([2.0]))], path),
+         "lone surrogate"),
+    ],
+    ids=["corpus-duplicate", "corpus-tab", "results-id", "results-query", "hits-query",
+         "hits-id", "semantic-id"],
+)
+def test_writer_failing_part_way_removes_the_file(tmp_path, save, message):
+    # The writers stream: a bad id after the first line or record fails the
+    # write part-way, and the file at the path is removed, even an older one.
+    path = tmp_path / "out"
+    path.write_bytes(b"an older file")
+    with pytest.raises(ValidationError, match=message):
+        save(str(path))
+    assert not path.exists()
+
+
+def test_lines_are_written_as_they_come(tmp_path):
+    path = tmp_path / "out.txt"
+
+    def lines():
+        yield "first"
+        assert path.read_bytes() == b""  # still in the write buffer
+        yield "second"
+
+    write_lines(str(path), lines())
+    assert path.read_bytes() == b"first\nsecond\n"
+    write_lines(str(path), iter([]))
+    assert path.read_bytes() == b""
+
+
+def _first_line_then_fail():
+    yield "first"
+    raise ValidationError("second line failed")
+
+
+def test_failed_write_to_a_device_leaves_it_in_place(tmp_path):
+    link = tmp_path / "out"
+    link.symlink_to(os.devnull)
+    with pytest.raises(ValidationError, match="second line failed"):
+        write_lines(str(link), _first_line_then_fail())
+    assert link.is_symlink() and os.path.exists(os.devnull)
+
+
+def test_failed_write_through_a_symlink_removes_the_file_it_names(tmp_path):
+    target, link = tmp_path / "target.tsv", tmp_path / "out"
+    target.write_bytes(b"an older file")
+    link.symlink_to(target)
+    with pytest.raises(ValidationError, match="second line failed"):
+        write_lines(str(link), _first_line_then_fail())
+    assert not target.exists()

@@ -283,3 +283,49 @@ def test_writer_refuses_rows_of_another_width(tmp_path, fmt, param, shape):
     with pytest.raises(ValidationError, match="does not fit 2 records"):
         write_records(str(path), fmt, param, ["a", "b"], [rows])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bit", [7, 10, 63], ids=["last-byte", "past-last-byte", "last-bit"])
+def test_writer_refuses_set_bits_past_m(tmp_path, bit):
+    # m = 70 keeps 9 payload bytes: bit 64 + 7 sits in the last byte's
+    # padding, and bits 64 + 10 and 64 + 63 lie past the payload.
+    path = tmp_path / "x.stru"
+    path.write_bytes(b"an older file")
+    rows = np.array([[0, 0], [0, 1 << bit]], dtype=np.uint64)
+    with pytest.raises(ValidationError, match="padding bits past bit-vector length 70"):
+        write_records(str(path), STRUCTURAL, 70, ["a", "b"], [rows])
+    assert not path.exists()
+    write_records(str(path), STRUCTURAL, 70, ["a", "b"], [rows & np.uint64((1 << 6) - 1)])
+    assert read_sketches(str(path))[1] == ["a", "b"]
+
+
+def test_writer_removes_the_file_at_a_later_bad_id(tmp_path):
+    path = tmp_path / "x.stru"
+    path.write_bytes(b"an older file")
+    with pytest.raises(ValidationError, match="lone surrogate"):
+        write_records(str(path), STRUCTURAL, M, ["a", "b\ud800"],
+                      [np.zeros((2, WORDS), dtype=np.uint64)])
+    assert not path.exists()
+
+
+# Cut inside the faulty record's length prefix, its id and its payload.
+CUTS = [2, 4 + 1, 4 + 3 + 1]
+
+
+@pytest.mark.parametrize("cut", CUTS, ids=["prefix", "id", "payload"])
+@pytest.mark.parametrize("kind", ["stru", "sem"])
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_file_cut_short_while_read_is_truncated(
+    files, block_records, monkeypatch, no_open_files, kind, cut, per_block
+):
+    # The header checks pass on the whole file; it then shrinks. A read
+    # buffer smaller than one record makes each record come from the file.
+    path = files[kind]
+    block_records(per_block, SIZES[kind])
+    monkeypatch.setattr(corpus, "_BUFFER_BYTES", 8)
+    records = RecordBlocks(str(path), corpus.SEMANTIC if kind == "sem" else STRUCTURAL)
+    with open(path, "r+b") as fh:
+        fh.truncate(_record_start(kind, LATER) + cut)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: truncated file") + "$"):
+        for _ in records:
+            pass

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from binsketch.errors import ConfigError
+from binsketch import synth
 from binsketch.synth import SynthConfig, class_map, generate, label_pool
 
 
@@ -150,3 +151,28 @@ class TestGenerate:
         assert len(mapping) == 20
         assert mapping["C0001P000"] == "C0001"
         assert mapping["C0001Q001"] == "C0001"
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.45])
+def test_embeddings_match_one_draw_per_function(noise):
+    # The reference: each function's noise drawn on its own, in program
+    # order after the program's permutation; generate draws a program's
+    # noise as one matrix, which must give the same bits.
+    cfg = small_cfg(noise=noise, reuse=0.25)
+    repo, queries = generate(cfg, seed=9)
+    rng = np.random.default_rng(9)
+    shared = synth._make_pool(rng, cfg.shared_count, cfg.d, 0, cfg.shared_loc, cfg.shared_nos)
+    size = cfg.functions_per_program - cfg.shared_count
+    pools = [synth._make_pool(rng, size, cfg.d, cfg.shared_count + c * size, cfg.class_loc,
+                              cfg.class_nos) for c in range(cfg.classes)]
+    P, Q = cfg.programs_per_class, cfg.queries_per_class
+    for c in range(cfg.classes):  # generate's order: a class's programs, then its queries
+        bases = shared + pools[c]
+        for program in repo[c * P:(c + 1) * P] + queries[c * Q:(c + 1) * Q]:
+            assert program.class_id == f"C{c:04d}"
+            for fn, idx in zip(program.functions, rng.permutation(len(bases))):
+                expected = bases[idx].vector.copy()
+                if noise:
+                    expected = expected + noise * rng.standard_normal(cfg.d) / np.sqrt(cfg.d)
+                assert fn.embedding.tobytes() == expected.tobytes()
+                assert fn.class_label == bases[idx].label
