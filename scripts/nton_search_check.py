@@ -52,17 +52,16 @@ def timed(owner, name, stage):
             spent[stage] += time.perf_counter() - start
     setattr(owner, name, wrapper)
 
-# Each stage's entry points; a name the code does not have is skipped.
+# Each stage's entry points. A name the code does not have is an error, so
+# a rename cannot move a stage's time into other_s unseen.
 for owner, name, stage in [
-    (search, "load_index", "load"), (cli, "read_sketches", "load"),
-    (cli, "load_embeddings", "load"),
-    (search.SemanticIndex, "score_rows" if hasattr(search.SemanticIndex, "score_rows")
-     else "scores", "scores"),
-    (search.StructuralIndex, "scores", "scores"), (search, "top_k", "topk"),
-    (search, "write_hits", "write"), (search, "save_results", "write"),
+    (search, "load_index", "load"), (cli, "read_records", "load"),
+    (search.SemanticIndex, "score_rows", "scores"), (search.StructuralIndex, "scores", "scores"),
+    (search, "top_k", "topk"), (search, "save_results", "write"),
 ]:
-    if hasattr(owner, name):
-        timed(owner, name, stage)
+    if not hasattr(owner, name):
+        sys.exit(f"{owner.__name__} has no {name}: update the stage list")
+    timed(owner, name, stage)
 
 start = time.perf_counter()
 with contextlib.redirect_stdout(io.StringIO()):

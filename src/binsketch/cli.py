@@ -19,18 +19,20 @@ import json
 import logging
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
 from . import contrastive, kmeans, metrics, search, semantic, structural, synth
 from .corpus import (
+    SKETCHES,
     STRUCTURAL,
+    RecordBlocks,
     StructuralEmbedding,
     load_corpus,
     load_embeddings,
-    open_sketches,
     read_ids,
-    read_sketches,
+    read_records,
     save_corpus,
     save_semantic,
     stack_embeddings,
@@ -169,10 +171,11 @@ def cmd_hash(args) -> int:
 
 def cmd_index_search(args) -> int:
     repo = search.load_index(args.repo_emb)
-    kind, query_ids, rows, param = read_sketches(args.query_emb)
-    queries = rows if kind == "semantic" else [StructuralEmbedding(row, param) for row in rows]
+    fmt, param, query_ids, rows = read_records(args.query_emb, *SKETCHES)
+    search.check_queries(repo, fmt, param)
+    queries = [StructuralEmbedding(row, param) for row in rows] if fmt is STRUCTURAL else rows
     ranking = search.batch_search(repo, queries, k=args.k, workers=args.workers)
-    search.write_hits(args.out, query_ids, ranking)
+    search.save_results(zip(query_ids, ranking), args.out)
     _emit([("queries", len(query_ids)), ("repository", len(repo)), ("k", args.k)])
     return 0
 
@@ -267,7 +270,10 @@ def cmd_bench(args) -> int:
     if args.query_emb:
         queries = [emb for _, emb in load_embeddings(args.query_emb)[1]]
     else:
-        queries = _first_rows(args.repo_emb, args.queries, repo.m)
+        # The first --queries sketches of the repository, reading no block past them.
+        with RecordBlocks(args.repo_emb, STRUCTURAL) as records:
+            rows = islice((row for _, words in records for row in words), args.queries)
+            queries = [StructuralEmbedding(row, repo.m) for row in rows]
     report = search.bench(repo, queries, rounds=args.rounds)
     _emit(
         [
@@ -280,17 +286,6 @@ def cmd_bench(args) -> int:
         ]
     )
     return 0
-
-
-def _first_rows(path: str, n: int, m: int) -> list[StructuralEmbedding]:
-    """The first ``n`` sketches of a ``.stru`` file, reading no block past them."""
-    rows: list[np.ndarray] = []
-    with open_sketches(path)[1] as records:
-        for _, words in records:
-            rows.extend(words[: n - len(rows)])
-            if len(rows) == n:
-                break
-    return [StructuralEmbedding(row, m) for row in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,13 +26,16 @@ rows callers hold, ``encode`` of them into payload bytes and ``decode``
 back. :func:`write_records` writes the ids plus blocks of rows, each
 checked against the format's width and padding bits before it is encoded,
 and :class:`RecordBlocks` reads records in blocks of about 1 MB, so no
-reader needs the file whole. It reads each record straight from a buffered
-file: its length prefix, its id, then its payload into the block's row. A
-block's records are checked as they are read (truncation, ids that are not
-UTF-8, trailing bytes after the last record), then its payloads (padding
-bits, non-finite values); across blocks, the first error in file order is
-reported. :func:`read_records` reads every block's payloads into one
-matrix.
+reader needs the file whole. Given the formats a caller accepts
+(``SKETCHES`` for either sketch container), it learns the file's from the
+magic of the header it reads, so no reader opens a file only to sniff it.
+It reads each record straight from a buffered file: its length prefix, its
+id, then its payload into the block's row. A block's records are checked
+as they are read (truncation, ids that are not UTF-8, trailing bytes after
+the last record), then its payloads (padding bits, non-finite values);
+across blocks, the first error in file order is reported.
+:func:`read_records` returns the format, the parameter, the ids and every
+block's payloads decoded as one matrix.
 """
 
 from __future__ import annotations
@@ -531,25 +534,31 @@ class RecordBlocks:
     """The records of a container written by :func:`write_records`, read in
     blocks of :func:`block_rows` records.
 
-    Opening reads the header and checks the magic, the parameter and the
-    record count against the file size (from ``fstat``) before anything is
-    allocated; ``param``, ``count`` and ``size`` (payload bytes) are then
-    set. Iterating once yields ``(ids, rows)`` per block, ``rows`` decoded
-    by the format, and checks every record as it comes: truncation, ids
-    that are not UTF-8, trailing bytes after the last record, then the
-    block's payloads. The first fault in file order raises
-    :class:`FormatError`. The file closes when the iteration ends or fails,
-    or on :meth:`close`; use it as a context manager to stop early.
+    Opening reads the header and picks, of the ``formats`` a caller
+    accepts, the one whose magic starts the file, exposed as ``format``. It
+    then checks the parameter and the record count against the file size
+    (from ``fstat``) before anything is allocated; ``param``, ``count`` and
+    ``size`` (payload bytes) are then set. Iterating once yields
+    ``(ids, rows)`` per block, ``rows`` decoded by the format, and checks
+    every record as it comes: truncation, ids that are not UTF-8, trailing
+    bytes after the last record, then the block's payloads. The first fault
+    in file order raises :class:`FormatError`. The file closes when the
+    iteration ends or fails, or on :meth:`close`; use it as a context
+    manager to stop early.
     """
 
-    def __init__(self, path: str, fmt: RecordFormat):
+    def __init__(self, path: str, *formats: RecordFormat):
         self.path = path
-        self._format = fmt
         self._fh = open(path, "rb", buffering=_BUFFER_BYTES)
         try:
-            head = self._fh.read(len(fmt.magic) + 12)
-            if not head.startswith(fmt.magic):
-                raise FormatError(f"{path}: bad magic, expected {fmt.magic!r}")
+            head = self._fh.read(max(len(fmt.magic) for fmt in formats))
+            fmt = next((fmt for fmt in formats if head.startswith(fmt.magic)), None)
+            if fmt is None and len(formats) == 1:
+                raise FormatError(f"{path}: bad magic, expected {formats[0].magic!r}")
+            if fmt is None:
+                raise FormatError(f"{path}: unrecognized magic {head!r}")
+            self.format = fmt
+            head += self._fh.read(len(fmt.magic) + 12 - len(head))
             if len(head) < len(fmt.magic) + 12:
                 raise self._truncated()
             self.param, self.count = struct.unpack_from("<IQ", head, len(fmt.magic))
@@ -607,7 +616,7 @@ class RecordBlocks:
                         raise FormatError(f"{self.path}: id is not valid UTF-8") from None
                 if done + n == self.count and spare:
                     raise FormatError(f"{self.path}: {spare} trailing bytes")
-                yield ids, self._format.decode(self.path, self.param, ids, raw)
+                yield ids, self.format.decode(self.path, self.param, ids, raw)
         finally:
             self.close()
 
@@ -619,15 +628,18 @@ class RecordBlocks:
         ids: list[str] = []
         for block_ids, _ in self._blocks(raw):
             ids += block_ids
-        return ids, self._format.decode(self.path, self.param, ids, raw)
+        return ids, self.format.decode(self.path, self.param, ids, raw)
 
 
-def read_records(path: str, fmt: RecordFormat) -> tuple[int, list[str], np.ndarray]:
-    """Read a container written by :func:`write_records`: ``param``, the
-    ids, and the decoded rows of every block of :class:`RecordBlocks`
-    gathered into one matrix."""
-    with RecordBlocks(path, fmt) as records:
-        return records.param, *records.read_all()
+def read_records(
+    path: str, *formats: RecordFormat
+) -> tuple[RecordFormat, int, list[str], np.ndarray]:
+    """Read a container written by :func:`write_records` in one of
+    ``formats``: the format its magic names, ``param``, the ids, and the
+    decoded rows of every block of :class:`RecordBlocks` gathered into one
+    matrix."""
+    with RecordBlocks(path, *formats) as records:
+        return records.format, records.param, *records.read_all()
 
 
 def _structural_rows(path: str, m: int, ids: list[str], raw: np.ndarray) -> np.ndarray:
@@ -656,7 +668,8 @@ STRUCTURAL = RecordFormat(
 SEMANTIC = RecordFormat(
     SEMANTIC_MAGIC, "dimension", "<f4", lambda d: d, lambda d: 32 * d, _semantic_rows
 )
-_FORMATS = {"structural": STRUCTURAL, "semantic": SEMANTIC}
+# Both sketch containers, for a reader that takes either.
+SKETCHES = (STRUCTURAL, SEMANTIC)
 
 
 def _shared(entries: Sequence[tuple[str, object]], name: str, value: int | None) -> int:
@@ -683,50 +696,7 @@ def save_structural(
 
 
 def load_structural(path: str) -> list[tuple[str, StructuralEmbedding]]:
-    m, ids, words = read_records(path, STRUCTURAL)
-    return [(pid, StructuralEmbedding(row, m)) for pid, row in zip(ids, words)]
-
-
-def _kind(path: str) -> str:
-    with open(path, "rb") as fh:
-        head = fh.read(len(STRUCTURAL_MAGIC))
-    if head.startswith(STRUCTURAL_MAGIC):
-        return "structural"
-    if head.startswith(SEMANTIC_MAGIC):
-        return "semantic"
-    raise FormatError(f"{path}: unrecognized magic {head!r}")
-
-
-def load_embeddings(path: str):
-    """Load either embedding container, sniffing the magic.
-
-    Returns ("structural", entries) or ("semantic", entries).
-    """
-    kind = _kind(path)
-    return kind, (load_structural if kind == "structural" else load_semantic)(path)
-
-
-def open_sketches(path: str) -> tuple[str, RecordBlocks]:
-    """Open either embedding container for reading in blocks, sniffing the
-    magic: ("structural", blocks of packed words) or ("semantic", blocks of
-    float32 rows)."""
-    kind = _kind(path)
-    return kind, RecordBlocks(path, _FORMATS[kind])
-
-
-def read_sketches(path: str) -> tuple[str, list[str], np.ndarray, int]:
-    """Decode either embedding container into ids plus one matrix, sniffing
-    the magic: ("structural", ids, words, m) or ("semantic", ids, values, d).
-    """
-    kind, records = open_sketches(path)
-    with records:
-        return kind, *records.read_all(), records.param
-
-
-def read_ids(path: str) -> list[str]:
-    """The ids of either embedding container. Every block is checked as
-    :func:`read_sketches` checks it, and its rows are then dropped."""
-    return [pid for ids, _ in open_sketches(path)[1] for pid in ids]
+    return _entries(*read_records(path, STRUCTURAL))
 
 
 def save_semantic(
@@ -738,5 +708,27 @@ def save_semantic(
 
 
 def load_semantic(path: str) -> list[tuple[str, SemanticEmbedding]]:
-    _, ids, rows = read_records(path, SEMANTIC)
+    return _entries(*read_records(path, SEMANTIC))
+
+
+Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
+
+
+def _entries(fmt: RecordFormat, param: int, ids: list[str], rows: np.ndarray) -> list[Entry]:
+    """One embedding object per row of a sketch container."""
+    if fmt is STRUCTURAL:
+        return [(pid, StructuralEmbedding(row, param)) for pid, row in zip(ids, rows)]
     return [(pid, SemanticEmbedding(row)) for pid, row in zip(ids, rows)]
+
+
+def load_embeddings(path: str) -> tuple[str, list[Entry]]:
+    """Load either sketch container: ("structural", entries) or
+    ("semantic", entries), as its magic names it."""
+    fmt, *rest = read_records(path, *SKETCHES)
+    return "structural" if fmt is STRUCTURAL else "semantic", _entries(fmt, *rest)
+
+
+def read_ids(path: str) -> list[str]:
+    """The ids of either sketch container. Every block is checked as
+    :func:`read_records` checks it, and its rows are then dropped."""
+    return [pid for ids, _ in RecordBlocks(path, *SKETCHES) for pid in ids]

@@ -265,7 +265,7 @@ def save_model(model: CentroidModel, path: str) -> None:
 
 
 def load_model(path: str) -> CentroidModel:
-    _, ids, rows = read_records(path, MODEL_FORMAT)
+    _, _, ids, rows = read_records(path, MODEL_FORMAT)
     if not ids:
         raise FormatError(f"{path}: model must have at least one centroid")
     for idx, name in enumerate(ids):

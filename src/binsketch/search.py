@@ -21,8 +21,8 @@ A top k is held as arrays, repository rows and scores, best first: one
 query's as a :class:`SearchResult`, whose ``Hit`` objects are built only
 when its ``hits`` are read, and a batch's as a :class:`Ranking`, which a
 structural batch fills by copying each :func:`search` result into it.
-:func:`write_hits` writes the hits file straight from a ranking's arrays,
-one query's lines at a time.
+:func:`save_results` writes a hits file one query's lines at a time; given
+``zip(query_ids, ranking)``, it writes each line from the ranking's arrays.
 
 A structural index picks its Jaccard kernel once, when it is built. If the
 repository holds fewer set bits in total than it has packed words, it keeps
@@ -42,9 +42,11 @@ only contend there; its queries run in order on the calling thread.
 
 An index is built from ids plus one matrix (``from_matrix``), or, for a
 sparse structural index, from the set bits of its rows (``from_set_bits``).
-:func:`load_index` reads a ``.stru`` file block by block into set bits and
-builds the (N, words) matrix only for a dense index, which keeps it;
-:func:`build` is the adapter for a list of embedding objects.
+:func:`load_index` learns a file's kind from the header it reads and
+reads a ``.stru`` file block by block into set bits, building the (N, words)
+matrix only for a dense index, which keeps it; :func:`build` is the adapter
+for a list of embedding objects. :func:`check_queries` compares a query
+file's header with the index, so a mismatch is refused even with no rows.
 """
 
 from __future__ import annotations
@@ -58,20 +60,22 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import (
+    SEMANTIC,
+    SKETCHES,
     STRUCTURAL,
+    Entry,
+    RecordBlocks,
+    RecordFormat,
     SemanticEmbedding,
     StructuralEmbedding,
     check_field,
     numbered_lines,
-    open_sketches,
     read_records,
     write_lines,
 )
 from .errors import ConfigError, ParseError, ValidationError
 from .kmeans import unit_rows
 from .structural import Postings, jaccard_many, set_bits
-
-Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
 
 # About how many bytes of float64 scores one block of semantic queries
 # holds: large enough that one GEMM amortises reading the index, small
@@ -299,9 +303,8 @@ def load_index(path: str) -> Index:
     the running popcount sum reaches N x words, so that the index will be
     dense and keep the packed words, is the file read again as one matrix.
     """
-    kind, records = open_sketches(path)
-    with records:
-        if kind == "semantic":
+    with RecordBlocks(path, *SKETCHES) as records:
+        if records.format is SEMANTIC:
             return SemanticIndex.from_matrix(*records.read_all())
         m = records.param
         limit = records.count * ((m + 63) // 64)
@@ -322,8 +325,22 @@ def load_index(path: str) -> Index:
         return StructuralIndex.from_set_bits(
             ids, np.concatenate(pops), np.concatenate(rows), np.concatenate(positions), m
         )
-    m, ids, words = read_records(path, STRUCTURAL)
+    _, m, ids, words = read_records(path, STRUCTURAL)
     return StructuralIndex.from_matrix(ids, words, m)
+
+
+def check_queries(repo: Index, fmt: RecordFormat, param: int) -> None:
+    """Refuse queries whose container header names another kind, m or d
+    than the repository's. Scoring checks each query too, but only when
+    both sides hold rows; the headers settle it when either is empty."""
+    if isinstance(repo, StructuralIndex):
+        kind, own, name, value = "structural", STRUCTURAL, "m", repo.m
+    else:
+        kind, own, name, value = "semantic", SEMANTIC, "d", repo.d
+    if fmt is not own:
+        raise ValidationError(f"embedding kinds differ: {kind} repository, other query")
+    if param != value:
+        raise ValidationError(f"query {name}={param} does not match repository {name}={value}")
 
 
 def top_k(scores: np.ndarray, k: int, set_aside_lowest: bool = True) -> np.ndarray:
@@ -447,19 +464,12 @@ def bench(repo: Index, queries: Sequence, rounds: int = 1) -> BenchReport:
     return BenchReport(comparisons=comparisons, seconds=elapsed, per_second=rate)
 
 
-def save_results(results: Sequence[tuple[str, SearchResult]], path: str) -> None:
+def save_results(results: Iterable[tuple[str, SearchResult]], path: str) -> None:
     """Write ranked hits as query_id, rank, program_id, score rows (6dp),
-    one query's lines at a time (see :func:`_hit_lines`)."""
+    one query's lines at a time (see :func:`_hit_lines`), so ``results``
+    may be computed meanwhile: ``zip(query_ids, ranking)`` writes a
+    :class:`Ranking` from its arrays."""
     write_lines(path, _hit_lines((qid, r.program_ids, r.rows, r.scores) for qid, r in results))
-
-
-def write_hits(path: str, query_ids: Sequence[str], ranking: Ranking) -> None:
-    """Write a :class:`Ranking` as :func:`save_results` writes its results,
-    straight from its arrays."""
-    if len(query_ids) != len(ranking):
-        raise ValidationError(f"{len(query_ids)} query ids for {len(ranking)} rankings")
-    ids = [ranking.program_ids] * len(ranking)
-    write_lines(path, _hit_lines(zip(query_ids, ids, ranking.rows, ranking.scores)))
 
 
 def _hit_lines(results: Iterable[tuple]) -> Iterator[str]:

@@ -6,8 +6,8 @@ hits file must equal, line for line, the file written from ``search.search``
 per query, whatever the block holds: ``search._SCORE_BLOCK_BYTES`` is
 patched to one row, three rows and more rows than there are queries.
 Repositories hold repeated rows, zero rows and unsorted ids; queries include
-zero vectors. The array writer must write, or refuse, exactly as the
-``SearchResult`` writer does.
+zero vectors. ``save_results`` must write, or refuse, a ranking's results
+exactly as it does the same results built one by one.
 
 A structural batch copies each query's ``search.search`` arrays into its
 ranking; it must do so in both index forms, at any ``workers``, and rank as
@@ -142,7 +142,7 @@ _IDS = st.text(st.characters(codec="utf-8") | st.sampled_from(["\t", "\n", "%", 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ids=st.lists(_IDS, min_size=1, max_size=6), queries=st.lists(_IDS, max_size=5),
        data=st.data())
-def test_write_hits_writes_or_rejects_as_save_results_does(tmp_path_factory, ids, queries, data):
+def test_a_ranking_is_written_or_refused_as_its_results_are(tmp_path_factory, ids, queries, data):
     width = data.draw(st.integers(0, len(ids)))
     rows = [data.draw(st.permutations(range(len(ids))))[:width] for _ in queries]
     scores = data.draw(st.lists(st.floats(-1, 1), min_size=width * len(queries),
@@ -152,9 +152,13 @@ def test_write_hits_writes_or_rejects_as_save_results_does(tmp_path_factory, ids
                              np.array(scores, dtype=np.float64).reshape(shape))
     tmp = tmp_path_factory.mktemp("hits")
     outcomes = []
+    # A ranking's results share one id list, so each id is checked once;
+    # results built one by one each bring their own, checked afresh.
+    results = [(qid, search.SearchResult(list(ids), ranking.rows[q], ranking.scores[q]))
+               for q, qid in enumerate(queries)]
     for name, write in [
-        ("arrays", lambda path: search.write_hits(path, queries, ranking)),
-        ("results", lambda path: search.save_results(list(zip(queries, ranking)), path)),
+        ("arrays", lambda path: search.save_results(zip(queries, ranking), path)),
+        ("results", lambda path: search.save_results(results, path)),
     ]:
         try:
             write(str(tmp / name))
@@ -209,7 +213,7 @@ def test_structural_batches_copy_search_in_both_index_forms(tmp_path_factory, ca
                 assert ranking.scores[q].tobytes() == result.scores.tobytes()
                 stable = np.argsort(-dense.scores(query), kind="stable")[:k]
                 assert ranking.rows[q].tolist() == stable.tolist()
-            search.write_hits(str(tmp / "hits.tsv"), qids, ranking)
+            search.save_results(zip(qids, ranking), str(tmp / "hits.tsv"))
             assert (tmp / "hits.tsv").read_bytes() == (tmp / "expected.tsv").read_bytes()
 
 

@@ -10,7 +10,14 @@ import pytest
 
 import binsketch
 from binsketch.cli import main
-from binsketch.corpus import load_embeddings, load_structural, save_structural
+from binsketch.corpus import (
+    SemanticEmbedding,
+    StructuralEmbedding,
+    load_embeddings,
+    load_structural,
+    save_semantic,
+    save_structural,
+)
 from binsketch.search import load_index, load_results
 from binsketch.structural import Postings
 
@@ -468,6 +475,46 @@ class TestExitCodes:
         )
         assert code == 2
         assert "kind" in err
+
+    @pytest.mark.parametrize(
+        "repo, query, message",
+        [
+            (("stru", 1024, 0), ("sem", 4, 1),
+             "embedding kinds differ: structural repository, other query"),
+            (("sem", 4, 2), ("stru", 1024, 0),
+             "embedding kinds differ: semantic repository, other query"),
+            (("stru", 1024, 0), ("stru", 2048, 2), "query m=2048 does not match repository m=1024"),
+            (("stru", 1024, 2), ("stru", 2048, 0), "query m=2048 does not match repository m=1024"),
+            (("sem", 4, 0), ("sem", 8, 2), "query d=8 does not match repository d=4"),
+            (("sem", 4, 2), ("sem", 8, 0), "query d=8 does not match repository d=4"),
+        ],
+        ids=["empty-stru-repo-sem-query", "sem-repo-empty-stru-query", "empty-repo-other-m",
+             "empty-query-other-m", "empty-repo-other-d", "empty-query-other-d"],
+    )
+    def test_mismatch_is_usage_error_when_either_file_is_empty(
+        self, tmp_path, capsys, repo, query, message
+    ):
+        # The search checks each query against the repository, but an empty
+        # side gives it nothing to check: the headers must be compared.
+        rng = np.random.default_rng(0)
+        paths = {}
+        for side, (kind, param, n) in (("repo", repo), ("query", query)):
+            path = paths[side] = tmp_path / f"{side}.{kind}"
+            ids = [f"{side}{i}" for i in range(n)]
+            if kind == "stru":
+                rows = [StructuralEmbedding.from_bits(rng.integers(0, 2, param)) for _ in ids]
+                save_structural(list(zip(ids, rows)), str(path), m=param)
+            else:
+                rows = [SemanticEmbedding(rng.standard_normal(param)) for _ in ids]
+                save_semantic(list(zip(ids, rows)), str(path), d=param)
+        out = tmp_path / "hits.tsv"
+        code, stdout, err = run_cli(
+            capsys, "index-search", "--repo-emb", str(paths["repo"]),
+            "--query-emb", str(paths["query"]), "--k", "3", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_zero_k_is_usage_error(self, pipeline_dir, capsys):
         code, _, err = run_cli(

@@ -29,7 +29,7 @@ from binsketch.corpus import (
 )
 from binsketch.errors import ValidationError
 from binsketch.metrics import load_class_map, save_class_map
-from binsketch.search import Ranking, SearchResult, load_results, save_results, write_hits
+from binsketch.search import Ranking, SearchResult, load_results, save_results
 
 # Arbitrary text, with the two TSV separators and lone surrogates drawn
 # often enough to matter.
@@ -180,11 +180,11 @@ def _result(*ids):
          "tab or newline"),
         (lambda path: save_results([("q", _result("a")), ("q", _result("b"))], path),
          "duplicate query id"),
-        (lambda path: write_hits(path, ["q", "r\ud800"], Ranking(["a"], np.zeros((2, 1), np.intp),
-                                                                  np.ones((2, 1)))),
+        (lambda path: save_results(zip(["q", "r\ud800"], Ranking(["a"], np.zeros((2, 1), np.intp),
+                                                                  np.ones((2, 1)))), path),
          "lone surrogate"),
-        (lambda path: write_hits(path, ["q", "r"], Ranking(["a", "b\tc"], np.array([[0], [1]]),
-                                                            np.ones((2, 1)))),
+        (lambda path: save_results(zip(["q", "r"], Ranking(["a", "b\tc"], np.array([[0], [1]]),
+                                                            np.ones((2, 1)))), path),
          "tab or newline"),
         (lambda path: save_semantic(
             [("a", SemanticEmbedding([1.0])), ("b\ud800", SemanticEmbedding([2.0]))], path),

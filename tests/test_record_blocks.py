@@ -18,19 +18,20 @@ import pytest
 from binsketch import corpus
 from binsketch.cli import main
 from binsketch.corpus import (
+    SKETCHES,
     STRUCTURAL,
     RecordBlocks,
     SemanticEmbedding,
     StructuralEmbedding,
     load_embeddings,
     read_ids,
-    read_sketches,
+    read_records,
     save_semantic,
     save_structural,
     write_records,
 )
 from binsketch.errors import FormatError, ValidationError
-from binsketch.kmeans import MODEL_FORMAT
+from binsketch.kmeans import MODEL_FORMAT, load_model
 from binsketch.search import batch_search, build, load_index
 from binsketch.structural import Postings
 
@@ -40,7 +41,14 @@ WORDS = (M + 63) // 64
 HEADER = {"stru": 7 + 12, "sem": 6 + 12}
 IDS = [f"p{i:02d}" for i in range(10)]
 LATER = 7  # the faulty record: second in the third block of three
-READERS = [read_sketches, load_embeddings, read_ids, load_index]
+
+
+def read_either(path):
+    """Either sketch container whole, its format picked from its magic."""
+    return read_records(path, *SKETCHES)
+
+
+READERS = [read_either, load_embeddings, read_ids, load_index]
 
 
 def _record_start(kind, index):
@@ -156,13 +164,14 @@ def test_load_index_answers_like_build(rng, tmp_path, block_records, per_block, 
 
 @pytest.mark.parametrize("per_block", [1, 3])
 def test_read_ids_and_matrix_match_at_every_block_size(files, block_records, per_block):
-    whole = {kind: read_sketches(str(path)) for kind, path in files.items()}
+    whole = {kind: read_either(str(path)) for kind, path in files.items()}
     for kind, path in files.items():
         block_records(per_block, SIZES[kind])
-        name, ids, rows, param = read_sketches(str(path))
-        assert (name, ids, param) == (whole[kind][0], whole[kind][1], whole[kind][3])
-        assert rows.dtype == whole[kind][2].dtype
-        assert np.array_equal(rows, whole[kind][2])
+        fmt, param, ids, rows = read_either(str(path))
+        assert (fmt, param, ids) == whole[kind][:3]
+        assert fmt is (STRUCTURAL if kind == "stru" else corpus.SEMANTIC)
+        assert rows.dtype == whole[kind][3].dtype
+        assert np.array_equal(rows, whole[kind][3])
         assert read_ids(str(path)) == IDS
 
 
@@ -245,6 +254,73 @@ def test_header_fault_leaves_no_file_open(files, no_open_files):
         RecordBlocks(str(path), corpus.SEMANTIC)
 
 
+def _model(files):
+    write_records(str(files["sem"].with_name("m.km")), MODEL_FORMAT, D, ["0"],
+                  [np.eye(1, D, dtype=np.float32)])
+    return files["sem"].with_name("m.km").read_bytes()
+
+
+# Files whose header names no sketch container, or is cut short.
+HEADER_FAULTS = {
+    "KHKM1-model": _model,
+    "3-bytes": lambda files: b"KHS",
+    "empty": lambda files: b"",
+    "KHSEM1-cut-in-header": lambda files: files["sem"].read_bytes()[:HEADER["sem"] - 3],
+}
+
+
+@pytest.fixture(params=HEADER_FAULTS)
+def bad_header(request, files):
+    """A file with a header fault, and the message a reader of either
+    sketch container gives for it."""
+    raw = HEADER_FAULTS[request.param](files)
+    path = files["sem"].with_name("bad.bin")
+    path.write_bytes(raw)
+    message = "truncated file" if raw.startswith(b"KHSEM1") else f"unrecognized magic {raw[:7]!r}"
+    return path, f"{path}: {message}"
+
+
+@pytest.mark.parametrize("read", READERS)
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_header_fault_gives_one_message(bad_header, block_records, no_open_files, read, per_block):
+    path, message = bad_header
+    block_records(per_block, SIZES["sem"])
+    with pytest.raises(FormatError, match=re.escape(message) + "$"):
+        read(str(path))
+
+
+@pytest.mark.parametrize("side", ["--repo-emb", "--query-emb"])
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_index_search_refuses_a_header_fault(
+    files, bad_header, block_records, no_open_files, capsys, side, per_block
+):
+    path, message = bad_header
+    block_records(per_block, SIZES["sem"])
+    argv = {"--repo-emb": str(files["sem"]), "--query-emb": str(files["sem"]), side: str(path)}
+    out = path.with_name("hits.tsv")
+    assert main(["index-search", *(x for pair in argv.items() for x in pair),
+                 "--k", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, read",
+    [(STRUCTURAL, corpus.load_structural), (corpus.SEMANTIC, corpus.load_semantic),
+     (MODEL_FORMAT, load_model)],
+    ids=["KHSTRU1", "KHSEM1", "KHKM1"],
+)
+def test_header_fault_for_a_one_format_reader(bad_header, no_open_files, fmt, read):
+    path = bad_header[0]
+    raw = path.read_bytes()
+    message = "truncated file" if raw.startswith(fmt.magic) else f"bad magic, expected {fmt.magic!r}"
+    if fmt is MODEL_FORMAT and raw.startswith(fmt.magic):
+        assert read(str(path)).d == D  # a whole model file
+    else:
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}") + "$"):
+            read(str(path))
+
+
 def _blocks_then_fail():
     yield np.zeros((1, WORDS), dtype=np.uint64)
     raise ValidationError("block two failed")
@@ -296,7 +372,7 @@ def test_writer_refuses_set_bits_past_m(tmp_path, bit):
         write_records(str(path), STRUCTURAL, 70, ["a", "b"], [rows])
     assert not path.exists()
     write_records(str(path), STRUCTURAL, 70, ["a", "b"], [rows & np.uint64((1 << 6) - 1)])
-    assert read_sketches(str(path))[1] == ["a", "b"]
+    assert read_either(str(path))[2] == ["a", "b"]
 
 
 def test_writer_removes_the_file_at_a_later_bad_id(tmp_path):

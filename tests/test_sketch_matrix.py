@@ -1,11 +1,11 @@
 """The matrix path reads and indexes a sketch file like the entry path.
 
-``corpus.read_sketches`` decodes a ``.stru``/``.sem`` file into ids plus
-one matrix, and ``search.load_index`` indexes the file (a ``.stru`` one
-block of records at a time). Every file that
-``load_embeddings`` rejects, it must reject with the same ``FormatError``,
-and every index it builds must answer exactly like ``build`` over the
-loaded entries.
+``corpus.read_records(path, *SKETCHES)`` decodes a ``.stru``/``.sem``
+file into its format, its parameter, ids and one matrix, and
+``search.load_index`` indexes the file (a ``.stru`` one block of records at
+a time). Every file that ``load_embeddings`` rejects, it must reject with
+the same ``FormatError``, and every index it builds must answer exactly
+like ``build`` over the loaded entries.
 """
 
 import re
@@ -15,10 +15,13 @@ import numpy as np
 import pytest
 
 from binsketch.corpus import (
+    SEMANTIC,
+    SKETCHES,
+    STRUCTURAL,
     SemanticEmbedding,
     StructuralEmbedding,
     load_embeddings,
-    read_sketches,
+    read_records,
     save_semantic,
     save_structural,
 )
@@ -26,7 +29,13 @@ from binsketch.errors import FormatError, ValidationError
 from binsketch.search import StructuralIndex, SemanticIndex, batch_search, build, load_index
 from binsketch.structural import Postings
 
-READERS = pytest.mark.parametrize("read", [read_sketches, load_embeddings])
+
+def read_either(path):
+    """Either sketch container whole, its format picked from its magic."""
+    return read_records(path, *SKETCHES)
+
+
+READERS = pytest.mark.parametrize("read", [read_either, load_embeddings])
 
 
 def _structural(rng, ids, m=1024, density=0.01):
@@ -133,9 +142,10 @@ def test_duplicate_ids_rejected_by_build_and_load_index(rng, tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["stru", "sem"])
 def test_matrix_rows_equal_loaded_entries(files, kind):
-    name, ids, rows, param = read_sketches(str(files[kind]))
+    fmt, param, ids, rows = read_either(str(files[kind]))
     loaded_kind, entries = load_embeddings(str(files[kind]))
-    assert name == loaded_kind
+    assert (fmt, loaded_kind) == ((STRUCTURAL, "structural") if kind == "stru"
+                                  else (SEMANTIC, "semantic"))
     assert ids == [pid for pid, _ in entries]
     if kind == "stru":
         assert rows.dtype == np.uint64 and param == 1024
@@ -168,7 +178,7 @@ def test_empty_files_give_empty_indexes(tmp_path):
     stru, sem = tmp_path / "e.stru", tmp_path / "e.sem"
     save_structural([], str(stru), m=65536)
     save_semantic([], str(sem), d=4)
-    assert read_sketches(str(stru))[2].shape == (0, 1024)
+    assert read_either(str(stru))[3].shape == (0, 1024)
     assert isinstance(load_index(str(stru)), StructuralIndex)
     assert len(load_index(str(stru))) == 0
     index = load_index(str(sem))
