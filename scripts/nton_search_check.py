@@ -3,9 +3,10 @@
 
 The paper's large-scale scenario compares every program with every other
 one. This script writes a KHSEM1 and a KHSTRU1 file of the same programs
-directly with numpy and ``struct`` (no TSV, no ``synth``): random float32
-vectors of dimension d, and m-bit sketches with a few random set bits each
-(the shape of the ``scan`` benchmark's sketches). For each file it then runs
+from numpy rows through ``corpus.write_records`` (no TSV, no ``synth``):
+random float32 vectors of dimension d, and m-bit sketches with a few random
+set bits each (the shape of the ``scan`` benchmark's sketches; a large
+``--bits`` makes a dense index). For each file it then runs
 ``binsketch index-search --repo-emb F --query-emb F`` in a fresh Python
 process and prints the comparisons per second, the peak resident memory
 (``ru_maxrss``) and where the time went:
@@ -29,11 +30,12 @@ Example:
 
 import argparse
 import os
-import struct
 import subprocess
 import sys
 
 import numpy as np
+
+from binsketch.corpus import SEMANTIC, STRUCTURAL, write_records
 
 CHILD = """
 import contextlib, io, resource, sys, time
@@ -80,31 +82,22 @@ print(f"file={path} programs={n} comparisons={n * n} seconds={seconds:.3f} "
 """
 
 
-def write_container(path: str, magic: bytes, param: int, programs: int, blocks) -> None:
-    """A KHSTRU1/KHSEM1 file of programs ``p0000000``... from blocks of
-    uint8 payload rows."""
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<IQ", param, programs))
-        ids = (f"p{i:07d}".encode() for i in range(programs))
-        for rows in blocks:
-            for row, pid in zip(rows, ids):
-                fh.write(struct.pack("<I", len(pid)) + pid + row.tobytes())
-
-
 def semantic_rows(rng, programs: int, d: int, block: int = 1024):
     for start in range(0, programs, block):
         n = min(block, programs - start)
-        yield rng.standard_normal((n, d)).astype("<f4").view(np.uint8)
+        yield rng.standard_normal((n, d)).astype(np.float32)
 
 
 def structural_rows(rng, programs: int, m: int, bits: int, block: int = 1024):
+    """Packed (n, words) uint64 rows with ``bits`` random bit positions each
+    (repeats collapse)."""
     for start in range(0, programs, block):
         n = min(block, programs - start)
-        rows = np.zeros((n, m // 8), dtype=np.uint8)
+        rows = np.zeros((n, STRUCTURAL.width(m) * 8), dtype=np.uint8)
         flat = rng.integers(0, m, size=n * bits)
         owners = np.repeat(np.arange(n), bits)
         np.bitwise_or.at(rows, (owners, flat >> 3), (1 << (flat & 7)).astype(np.uint8))
-        yield rows
+        yield rows.view("<u8")
 
 
 def main() -> int:
@@ -124,15 +117,16 @@ def main() -> int:
     os.makedirs(args.dir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     files = {
-        "sem": (b"KHSEM1", args.d, lambda: semantic_rows(rng, args.programs, args.d)),
-        "stru": (b"KHSTRU1", args.m,
+        "sem": (SEMANTIC, args.d, lambda: semantic_rows(rng, args.programs, args.d)),
+        "stru": (STRUCTURAL, args.m,
                  lambda: structural_rows(rng, args.programs, args.m, args.bits)),
     }
+    ids = [f"p{i:07d}" for i in range(args.programs)]
     code = 0
     for kind in ("sem", "stru") if args.kind == "both" else (args.kind,):
-        magic, param, rows = files[kind]
+        fmt, param, rows = files[kind]
         path = os.path.join(args.dir, f"repo.{kind}")
-        write_container(path, magic, param, args.programs, rows())
+        write_records(path, fmt, param, ids, rows())
         out = os.path.join(args.dir, f"hits.{kind}.tsv")
         code |= subprocess.run([sys.executable, "-c", CHILD, path, out, str(args.k)]).returncode
     return code

@@ -2,8 +2,8 @@
 """Scale check: time and peak memory of indexing a large structural sketch file.
 
 Writes a KHSTRU1 file of many programs with a few random set bits each
-(the shape of the ``scan`` benchmark's sketches), byte by byte with numpy
-and ``struct`` rather than through binsketch, then indexes it with
+(the shape of the ``scan`` benchmark's sketches) from numpy rows through
+``corpus.write_records``, then indexes it with
 ``binsketch.search.load_index`` in a fresh Python process and prints the
 index time, the kernel the index chose, and that process's peak resident
 memory (``ru_maxrss``). At m = 2**16 each program costs 8,208 bytes, so the
@@ -15,11 +15,12 @@ Example:
 
 import argparse
 import os
-import struct
 import subprocess
 import sys
 
 import numpy as np
+
+from binsketch.corpus import STRUCTURAL, write_records
 
 CHILD = """
 import resource, sys, time
@@ -35,23 +36,19 @@ print(f"programs={len(index)} load_index_s={seconds:.3f} kernel={kernel} peak_rs
 
 def write_sketches(path: str, programs: int, m: int, bits: int, seed: int) -> None:
     """Programs ``p0000000``... with ``bits`` random bit positions each
-    (repeats collapse), written a block of programs at a time."""
+    (repeats collapse), made and written a block of programs at a time."""
     rng = np.random.default_rng(seed)
-    nbytes = m // 8
-    block = 1024
-    with open(path, "wb") as fh:
-        fh.write(b"KHSTRU1" + struct.pack("<IQ", m, programs))
+
+    def blocks(block: int = 1024):
         for start in range(0, programs, block):
             n = min(block, programs - start)
-            rows = np.zeros((n, nbytes), dtype=np.uint8)
-            positions = rng.integers(0, m, size=(n, bits))
+            rows = np.zeros((n, m // 64), dtype=np.uint64)
+            flat = rng.integers(0, m, size=n * bits)
             owners = np.repeat(np.arange(n), bits)
-            flat = positions.reshape(-1)
-            np.bitwise_or.at(rows, (owners, flat >> 3), (1 << (flat & 7)).astype(np.uint8))
-            for i, row in enumerate(rows, start=start):
-                pid = f"p{i:07d}".encode()
-                fh.write(struct.pack("<I", len(pid)) + pid)
-                fh.write(row.tobytes())
+            np.bitwise_or.at(rows, (owners, flat >> 6), np.uint64(1) << (flat & 63).astype(np.uint64))
+            yield rows
+
+    write_records(path, STRUCTURAL, m, [f"p{i:07d}" for i in range(programs)], blocks())
 
 
 def main() -> int:

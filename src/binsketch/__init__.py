@@ -21,7 +21,7 @@ from .corpus import (
     save_structural,
 )
 from .errors import BinsketchError, ConfigError, FormatError, ParseError, ValidationError
-from .kmeans import CentroidModel, LabelAssignment, classify, load_model, save_model, train
+from .kmeans import CentroidModel, classify, load_model, save_model, train
 from .metrics import (
     MatchingReport,
     RelevanceJudgment,
@@ -46,7 +46,6 @@ __all__ = [
     "FeatureHasher",
     "FormatError",
     "FunctionRecord",
-    "LabelAssignment",
     "MatchingReport",
     "ParseError",
     "ProgramRecord",

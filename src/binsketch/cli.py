@@ -28,9 +28,7 @@ from .corpus import (
     SKETCHES,
     STRUCTURAL,
     RecordBlocks,
-    StructuralEmbedding,
     load_corpus,
-    load_embeddings,
     read_ids,
     read_records,
     save_corpus,
@@ -173,8 +171,7 @@ def cmd_index_search(args) -> int:
     repo = search.load_index(args.repo_emb)
     fmt, param, query_ids, rows = read_records(args.query_emb, *SKETCHES)
     search.check_queries(repo, fmt, param)
-    queries = [StructuralEmbedding(row, param) for row in rows] if fmt is STRUCTURAL else rows
-    ranking = search.batch_search(repo, queries, k=args.k, workers=args.workers)
+    ranking = search.batch_search(repo, rows, k=args.k, workers=args.workers)
     search.save_results(zip(query_ids, ranking), args.out)
     _emit([("queries", len(query_ids)), ("repository", len(repo)), ("k", args.k)])
     return 0
@@ -212,7 +209,7 @@ def _labeled_functions(corpus_path: str, model: kmeans.CentroidModel):
         raise ValidationError(
             f"{corpus_path}: {truth.count(None)} functions lack the ground-truth class_label"
         )
-    return list(zip(kmeans.classify(model, X).labels.tolist(), truth))
+    return list(zip(kmeans.classify(model, X).tolist(), truth))
 
 
 def cmd_match_eval(args) -> int:
@@ -268,12 +265,14 @@ def cmd_bench(args) -> int:
     if not isinstance(repo, search.StructuralIndex):
         raise ValidationError("bench measures structural scoring; pass a structural file")
     if args.query_emb:
-        queries = [emb for _, emb in load_embeddings(args.query_emb)[1]]
+        fmt, param, _, queries = read_records(args.query_emb, *SKETCHES)
+        search.check_queries(repo, fmt, param)
     else:
         # The first --queries sketches of the repository, reading no block past them.
         with RecordBlocks(args.repo_emb, STRUCTURAL) as records:
-            rows = islice((row for _, words in records for row in words), args.queries)
-            queries = [StructuralEmbedding(row, repo.m) for row in rows]
+            n = min(args.queries, records.count)
+            rows = (row for _, words in records for row in words)
+            queries = np.fromiter(islice(rows, n), (np.uint64, STRUCTURAL.width(repo.m)), n)
     report = search.bench(repo, queries, rounds=args.rounds)
     _emit(
         [

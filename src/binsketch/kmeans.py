@@ -4,7 +4,8 @@ Assignment uses cosine similarity (dot product on normalized vectors) and
 the update step renormalizes the cluster mean, so every centroid stays on
 the unit sphere. Initialization is k-means++ with cosine distance, and an
 empty cluster is repaired by stealing the point farthest from its own
-centroid. Ties in assignment always resolve to the lowest cluster index.
+centroid. :func:`classify` returns int64 labels. Ties in assignment always
+resolve to the lowest cluster index, so a zero-norm row gets label 0.
 """
 
 from __future__ import annotations
@@ -62,18 +63,6 @@ class CentroidModel:
     @property
     def d(self) -> int:
         return self.centroids.shape[1]
-
-
-@dataclass(eq=False)
-class LabelAssignment:
-    """Nearest-centroid labels plus a mask of zero-norm inputs.
-
-    Zero-norm embeddings cannot be placed on the sphere; they get label 0
-    and are flagged here so callers can decide what to do with them.
-    """
-
-    labels: np.ndarray
-    zero_norm: np.ndarray
 
 
 def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -234,12 +223,13 @@ def train(
     return CentroidModel(centroids=centers.astype(np.float32), objective=trace)
 
 
-def classify(model: CentroidModel, embeddings: np.ndarray) -> LabelAssignment:
-    """Assign each embedding to its nearest centroid by cosine similarity.
+def classify(model: CentroidModel, embeddings: np.ndarray) -> np.ndarray:
+    """The int64 label of each embedding: its nearest centroid by cosine
+    similarity.
 
     Classification is scale invariant, up to rows whose norm overflows
-    (see :func:`unit_rows`). Zero-norm rows get label 0 and are
-    flagged in the returned assignment.
+    (see :func:`unit_rows`). A zero-norm row gets label 0, with a warning:
+    its similarities are all 0, and argmax takes the first.
     """
     X = _check_matrix(embeddings, "embeddings")
     if X.shape[0] and X.shape[1] != model.d:
@@ -248,11 +238,10 @@ def classify(model: CentroidModel, embeddings: np.ndarray) -> LabelAssignment:
         )
     labels, _, zero = _assign(X, model.centroids.astype(np.float64), normalise=True)
     if np.any(zero):
-        labels[zero] = 0
         logger.warning(
             "%d zero-norm embeddings assigned label 0", int(zero.sum())
         )
-    return LabelAssignment(labels=labels, zero_norm=zero)
+    return labels
 
 
 def save_model(model: CentroidModel, path: str) -> None:

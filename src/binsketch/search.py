@@ -45,8 +45,10 @@ sparse structural index, from the set bits of its rows (``from_set_bits``).
 :func:`load_index` learns a file's kind from the header it reads and
 reads a ``.stru`` file block by block into set bits, building the (N, words)
 matrix only for a dense index, which keeps it; :func:`build` is the adapter
-for a list of embedding objects. :func:`check_queries` compares a query
-file's header with the index, so a mismatch is refused even with no rows.
+for a list of embedding objects. Both kinds score rows, which
+:func:`query_rows` takes from the matrix a sketch file holds or from
+embeddings; :func:`check_queries` alone refuses another kind, m or d, given
+a query file's header (so even with no rows) or an embedding.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def _id_order(ids: Sequence[str]) -> tuple[list[str], np.ndarray | None]:
 
 @dataclass(eq=False)
 class StructuralIndex:
-    """Bit-vector rows scored by Jaccard.
+    """Bit-vector rows, scored by Jaccard against a packed (words,) uint64 row.
 
     ``rows`` holds either the packed (N, words) uint64 matrix or its
     :class:`~binsketch.structural.Postings`, as :meth:`from_matrix` chose;
@@ -194,17 +196,13 @@ class StructuralIndex:
     def __len__(self) -> int:
         return len(self.program_ids)
 
-    def scores(self, query) -> np.ndarray:
-        if not isinstance(query, StructuralEmbedding):
-            raise ValidationError("embedding kinds differ: structural repository, other query")
-        if query.m != self.m:
-            raise ValidationError(f"query m={query.m} does not match repository m={self.m}")
+    def scores(self, query: np.ndarray) -> np.ndarray:
         return jaccard_many(query, self.rows, self.pops)
 
 
 @dataclass(eq=False)
 class SemanticIndex:
-    """Unit-normalized float64 rows, scored by cosine.
+    """Unit-normalized float64 rows, scored by cosine against a (d,) row.
 
     Zero vectors stay zero and score 0 against everything. ``copies`` holds
     the rows equal to an earlier row and that earlier row: a copy takes the
@@ -227,22 +225,6 @@ class SemanticIndex:
     def __len__(self) -> int:
         return len(self.program_ids)
 
-    def query_values(self, queries) -> np.ndarray:
-        """The (n, d) values of ``queries``, given as semantic embeddings
-        (each checked for its kind and d, in order) or as their matrix."""
-        if isinstance(queries, np.ndarray):
-            if len(queries) and queries.shape[1] != self.d:
-                raise ValidationError(
-                    f"query d={queries.shape[1]} does not match repository d={self.d}"
-                )
-            return queries
-        for query in queries:
-            if not isinstance(query, SemanticEmbedding):
-                raise ValidationError("embedding kinds differ: semantic repository, other query")
-            if query.d != self.d:
-                raise ValidationError(f"query d={query.d} does not match repository d={self.d}")
-        return np.array([q.values for q in queries], dtype=np.float32).reshape(-1, self.d)
-
     def score_rows(self, values: np.ndarray) -> np.ndarray:
         """The (n, N) cosines of (n, d) query rows: one GEMM of the
         unit-normalised rows against the index."""
@@ -252,8 +234,8 @@ class SemanticIndex:
             scores[:, later] = scores[:, earlier]
         return scores
 
-    def scores(self, query) -> np.ndarray:
-        return self.score_rows(self.query_values([query]))[0]
+    def scores(self, query: np.ndarray) -> np.ndarray:
+        return self.score_rows(query[np.newaxis])[0]
 
 
 def _copies(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +311,10 @@ def load_index(path: str) -> Index:
     return StructuralIndex.from_matrix(ids, words, m)
 
 
-def check_queries(repo: Index, fmt: RecordFormat, param: int) -> None:
-    """Refuse queries whose container header names another kind, m or d
-    than the repository's. Scoring checks each query too, but only when
-    both sides hold rows; the headers settle it when either is empty."""
+def check_queries(repo: Index, fmt: RecordFormat | None, param: int) -> None:
+    """Refuse queries of another kind, m or d than the repository's, given
+    their container format (None for neither sketch) and m or d: a query
+    file's header, so even an empty file is checked, or an embedding's."""
     if isinstance(repo, StructuralIndex):
         kind, own, name, value = "structural", STRUCTURAL, "m", repo.m
     else:
@@ -341,6 +323,37 @@ def check_queries(repo: Index, fmt: RecordFormat, param: int) -> None:
         raise ValidationError(f"embedding kinds differ: {kind} repository, other query")
     if param != value:
         raise ValidationError(f"query {name}={param} does not match repository {name}={value}")
+
+
+def query_rows(repo: Index, queries) -> np.ndarray:
+    """The (n, width) rows that ``repo`` scores. ``queries`` is that matrix,
+    as a sketch file holds it, taken as it is once its width (and uint64
+    dtype, if structural) fits, or embeddings, each checked in order."""
+    fmt, param = (STRUCTURAL, repo.m) if isinstance(repo, StructuralIndex) else (SEMANTIC, repo.d)
+    if not isinstance(queries, np.ndarray):
+        rows = [_row(repo, query) for query in queries]
+        return np.array(rows, dtype=fmt.dtype).reshape(len(rows), fmt.width(param))
+    if fmt is SEMANTIC and queries.ndim == 2:
+        check_queries(repo, SEMANTIC, queries.shape[1])
+    elif queries.ndim != 2 or queries.shape[1] != fmt.width(param) or queries.dtype != np.uint64:
+        raise ValidationError(
+            f"query rows of shape {queries.shape} and dtype {queries.dtype} do not fit "
+            f"repository rows of {fmt.width(param)} {np.dtype(fmt.dtype)} values"
+        )
+    return queries
+
+
+def _row(repo: Index, query) -> np.ndarray:
+    """One query's row or embedding as a checked row, without a copy."""
+    if isinstance(query, np.ndarray):
+        return query_rows(repo, query[np.newaxis])[0]
+    fmt, param, row = None, 0, None
+    if isinstance(query, StructuralEmbedding):
+        fmt, param, row = STRUCTURAL, query.m, query.words
+    elif isinstance(query, SemanticEmbedding):
+        fmt, param, row = SEMANTIC, query.d, query.values
+    check_queries(repo, fmt, param)
+    return row
 
 
 def top_k(scores: np.ndarray, k: int, set_aside_lowest: bool = True) -> np.ndarray:
@@ -390,13 +403,13 @@ def _rank_semantic(repo: SemanticIndex, values: np.ndarray, ranking: Ranking, k:
 def search(repo: Index, query, k: int) -> SearchResult:
     """Top-k entries by score, descending; ties by ascending program id.
 
-    A semantic query is scored and ranked as a one-row block of
-    :func:`batch_search`."""
+    The query is a row or an embedding (see :func:`_row`). A semantic query
+    is scored and ranked as a one-row block of :func:`batch_search`."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if len(repo) == 0:
         return SearchResult(repo.program_ids, np.empty(0, dtype=np.intp), np.empty(0))
-    scores = repo.scores(query)
+    scores = repo.scores(_row(repo, query))
     top = top_k(scores, k, set_aside_lowest=isinstance(repo, StructuralIndex))
     return SearchResult(repo.program_ids, top, scores[top])
 
@@ -404,13 +417,13 @@ def search(repo: Index, query, k: int) -> SearchResult:
 def batch_search(repo: Index, queries, k: int, workers: int = 1) -> Ranking:
     """The top k of every query as one :class:`Ranking`, in input order.
 
-    A semantic index takes the queries as embeddings or as the (n, d)
-    matrix of their values, and scores them in blocks of rows, one GEMM per
-    block (see :func:`_rank_semantic`). A structural index takes
-    embeddings and runs :func:`search` for each, copying its arrays into
-    the ranking; only a dense one (packed words) uses ``workers`` threads,
-    since the posting-list kernel holds the GIL. Results are identical for
-    any ``workers`` value. ``k`` is checked even when there are no queries.
+    The queries are the matrix of their rows or embeddings
+    (:func:`query_rows`). A semantic index scores them in blocks of rows,
+    one GEMM per block (see :func:`_rank_semantic`). A structural index
+    runs :func:`search` for each row, copying its arrays into the ranking;
+    only a dense one (packed words) uses ``workers`` threads, since the
+    posting-list kernel holds the GIL. Results are identical for any
+    ``workers`` value. ``k`` is checked even when there are no queries.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -420,14 +433,13 @@ def batch_search(repo: Index, queries, k: int, workers: int = 1) -> Ranking:
     ranking = Ranking(repo.program_ids, np.empty(shape, dtype=np.intp), np.empty(shape))
     if len(repo) == 0:
         return ranking
+    rows = query_rows(repo, queries)
     if isinstance(repo, SemanticIndex):
-        _rank_semantic(repo, repo.query_values(queries), ranking, k)
+        _rank_semantic(repo, rows, ranking, k)
         return ranking
-    if isinstance(queries, np.ndarray) and len(queries):
-        raise ValidationError("embedding kinds differ: structural repository, other query")
 
     def rank(q: int) -> None:
-        result = search(repo, queries[q], k)
+        result = search(repo, rows[q], k)
         ranking.rows[q] = result.rows
         ranking.scores[q] = result.scores
 
@@ -447,18 +459,19 @@ class BenchReport:
     per_second: float
 
 
-def bench(repo: Index, queries: Sequence, rounds: int = 1) -> BenchReport:
-    """Time the scoring kernel (no ranking) over all query/entry pairs."""
-    if len(repo) == 0 or not queries:
+def bench(repo: Index, queries, rounds: int = 1) -> BenchReport:
+    """Time the scoring kernel (no ranking) over all query/entry pairs, given
+    the queries as :func:`batch_search` takes them."""
+    if len(repo) == 0 or len(queries) == 0:
         raise ValidationError("bench needs a non-empty repository and at least one query")
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    comparisons = 0
+    rows = query_rows(repo, queries)
     start = time.perf_counter()
     for _ in range(rounds):
-        for q in queries:
-            repo.scores(q)
-            comparisons += len(repo)
+        for row in rows:
+            repo.scores(row)
+    comparisons = rounds * len(rows) * len(repo)
     elapsed = time.perf_counter() - start
     rate = comparisons / elapsed if elapsed > 0 else float("inf")
     return BenchReport(comparisons=comparisons, seconds=elapsed, per_second=rate)

@@ -8,7 +8,8 @@ ones are dropped, as for every consumer), so a program with none left gets
 the empty sketch. :func:`sketch_blocks` sketches a whole corpus with one
 ``classify`` call and folds it one block of programs at a time, so the
 (N, m/64) word matrix never exists; :func:`hash_program` and
-:func:`labels_to_bitvector` are its one-program cases.
+:func:`labels_to_bitvector` are its one-program cases. Search scores the
+packed rows a sketch file holds with :func:`jaccard_many`.
 
 The hash family is the splitmix64 finalizer applied to the label XORed
 with a per-role seed: one seed picks the bucket, the other the sign.
@@ -118,7 +119,7 @@ def sketch_blocks(
     only when the iterator reaches it, so no (N, m/64) matrix exists.
     """
     _, X, owner = stack_embeddings(programs)
-    labels = classify(model, X).labels
+    labels = classify(model, X)
     k = model.n_clusters
     return _fold_blocks(np.unique(owner * k + labels), k, len(programs), hasher)
 
@@ -205,10 +206,8 @@ def set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(positions)
 
 
-def jaccard_many(
-    query: StructuralEmbedding, rows: np.ndarray | Postings, pops: np.ndarray
-) -> np.ndarray:
-    """Jaccard of one query against N rows.
+def jaccard_many(query: np.ndarray, rows: np.ndarray | Postings, pops: np.ndarray) -> np.ndarray:
+    """Jaccard of one packed (words,) uint64 query row against N rows.
 
     ``rows`` is either the packed (N, words) matrix, scanned with an AND
     and a popcount per word, or the :class:`Postings` of that matrix,
@@ -220,8 +219,8 @@ def jaccard_many(
     if len(pops) == 0:
         return np.empty(0, dtype=np.float64)
     if isinstance(rows, Postings):
-        inter = rows.intersections(query.words)
+        inter = rows.intersections(query)
     else:
-        inter = np.bitwise_count(rows & query.words[np.newaxis, :]).sum(axis=1, dtype=np.int64)
-    union = pops + query.popcount() - inter
+        inter = np.bitwise_count(rows & query[np.newaxis, :]).sum(axis=1, dtype=np.int64)
+    union = pops + int(np.bitwise_count(query).sum(dtype=np.int64)) - inter
     return np.where(union == 0, 1.0, inter / np.maximum(union, 1))

@@ -63,7 +63,7 @@ def test_criterion_2_classification_oracle(acceptance):
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
     model = kmeans.CentroidModel(centroids=centroids.astype(np.float32))
     X = rng.standard_normal((10000, 64))
-    labels = kmeans.classify(model, X).labels
+    labels = kmeans.classify(model, X)
     Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
     oracle = np.argmax(Xn @ model.centroids.astype(np.float64).T, axis=1)
     agree = int(np.sum(labels == oracle))

@@ -102,7 +102,7 @@ def test_repeated_rows_tie_and_rank_by_id(tmp_path):
     index = search.load_index(str(tmp_path / "repo.sem"))
     for row in rng.standard_normal((20, 32)).astype(np.float32):
         ranked = [hit.program_id for hit in search.search(index, SemanticEmbedding(row), 23).hits]
-        scores = index.scores(SemanticEmbedding(row))
+        scores = index.scores(row)
         for i in range(3):
             assert scores[i] == scores[20 + i]
             assert ranked.index(f"p{20 + i}") == ranked.index(f"p{i:02d}") + 1
@@ -211,7 +211,7 @@ def test_structural_batches_copy_search_in_both_index_forms(tmp_path_factory, ca
             for q, (query, result) in enumerate(zip(queries, results)):
                 assert ranking.rows[q].tolist() == result.rows.tolist()
                 assert ranking.scores[q].tobytes() == result.scores.tobytes()
-                stable = np.argsort(-dense.scores(query), kind="stable")[:k]
+                stable = np.argsort(-dense.scores(query.words), kind="stable")[:k]
                 assert ranking.rows[q].tolist() == stable.tolist()
             search.save_results(zip(qids, ranking), str(tmp / "hits.tsv"))
             assert (tmp / "hits.tsv").read_bytes() == (tmp / "expected.tsv").read_bytes()
@@ -271,3 +271,77 @@ def test_empty_repository_ranks_to_no_hits(kind):
     ranking = search.batch_search(search.build([]), queries, k=3)
     assert ranking.rows.shape == ranking.scores.shape == (2, 0)
     assert [result.hits for result in ranking] == [[], []]
+
+
+@st.composite
+def _row_cases(draw):
+    """A repository (possibly empty) and zero to six queries of either kind,
+    as embeddings and as the matrix of their rows, with empty (zero) and
+    repeated rows, and k up to N + 5."""
+    kind = draw(st.sampled_from(["stru", "sem"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, q = draw(st.integers(0, 20)), draw(st.integers(0, 6))
+    if kind == "stru":
+        m = draw(st.sampled_from([64, 128, 1024]))
+        bits = (rng.random((n + q, m)) < draw(st.sampled_from([0.0, 0.02, 0.5]))).astype(np.uint8)
+        bits[rng.random(n + q) < 0.2] = 0
+        for i in np.flatnonzero(rng.random(n + q) < 0.3):
+            bits[i] = bits[rng.integers(n + q)]
+        embs = [StructuralEmbedding.from_bits(row) for row in bits]
+        rows = np.array([emb.words for emb in embs[n:]], dtype=np.uint64).reshape(q, m // 64)
+    else:
+        values = _rows(rng, n + q, draw(st.integers(1, 12)), 4, 2)
+        embs, rows = [SemanticEmbedding(row) for row in values], values[n:]
+    ids = [f"p{i:02d}" for i in draw(st.permutations(range(n)))]
+    return kind, list(zip(ids, embs[:n])), embs[n:], rows, draw(st.integers(1, n + 5))
+
+
+def _indexes(entries):
+    """The index of the entries; for a structural one, both of its forms."""
+    index = search.build(entries)
+    if isinstance(index, search.SemanticIndex) or not entries:
+        return [index]
+    words = np.array([emb.words for _, emb in sorted(entries)])
+    ids, pops = index.program_ids, np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    return [search.StructuralIndex.from_set_bits(ids, pops, *set_bits(words), index.m),
+            search.StructuralIndex(ids, words, pops, index.m)]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_row_cases())
+def test_rows_and_embeddings_rank_byte_for_byte_alike(case):
+    kind, entries, queries, rows, k = case
+    for index in _indexes(entries):
+        by_emb = search.batch_search(index, queries, k)
+        by_row = search.batch_search(index, rows, k)
+        assert by_row.rows.shape == (len(queries), min(k, len(entries)))
+        assert by_row.rows.tobytes() == by_emb.rows.tobytes()
+        assert by_row.scores.tobytes() == by_emb.scores.tobytes()
+        for q, query in enumerate(queries):
+            one = search.search(index, query, k)
+            row = search.search(index, rows[q], k)
+            assert row.rows.tobytes() == one.rows.tobytes()
+            assert row.scores.tobytes() == one.scores.tobytes()
+            if kind == "stru":  # a semantic block may round unlike one row
+                assert by_row.rows[q].tobytes() == one.rows.tobytes()
+                assert by_row.scores[q].tobytes() == one.scores.tobytes()
+
+
+def test_dense_structural_file_searches_alike_at_one_and_two_workers(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    embs = [StructuralEmbedding.from_bits(rng.integers(0, 2, 128)) for _ in range(26)]
+    repo = [(f"p{i:02d}", emb) for i, emb in zip(rng.permutation(20), embs[:20])]
+    queries = [(f"q{i}", emb) for i, emb in enumerate(embs[20:])]
+    save_structural(repo, str(tmp_path / "repo.stru"))
+    save_structural(queries, str(tmp_path / "query.stru"))
+    index = search.load_index(str(tmp_path / "repo.stru"))
+    assert isinstance(index.rows, np.ndarray)  # re-read as words
+    for workers in ("1", "2"):
+        assert main(["index-search", "--repo-emb", str(tmp_path / "repo.stru"),
+                     "--query-emb", str(tmp_path / "query.stru"), "--k", "7",
+                     "--workers", workers, "--out", str(tmp_path / f"w{workers}.tsv")]) == 0
+    capsys.readouterr()
+    ranking = search.batch_search(index, [emb for _, emb in queries], k=7)
+    search.save_results(zip([qid for qid, _ in queries], ranking), str(tmp_path / "lib.tsv"))
+    assert (tmp_path / "w1.tsv").read_bytes() == (tmp_path / "w2.tsv").read_bytes()
+    assert (tmp_path / "w1.tsv").read_bytes() == (tmp_path / "lib.tsv").read_bytes()

@@ -453,6 +453,65 @@ class TestBench:
         assert out == ""
         assert err.splitlines() == [f"error: --queries must be >= 1, got {queries}"]
 
+    @pytest.mark.parametrize("queries", [13, 2**63, 2**64])
+    def test_query_count_past_the_file_benches_every_row(self, pipeline_dir, capsys, queries):
+        code, out, err = run_cli(
+            capsys, "bench",
+            "--repo-emb", str(pipeline_dir / "repo.stru"), "--queries", str(queries),
+        )
+        assert (code, err) == (0, "")
+        report = parse_report(out)
+        assert (report["queries"], report["comparisons"]) == ("12", str(12 * 12))
+
+    def test_query_file_rows_are_benched(self, pipeline_dir, capsys):
+        code, out, err = run_cli(
+            capsys, "bench",
+            "--repo-emb", str(pipeline_dir / "repo.stru"),
+            "--query-emb", str(pipeline_dir / "query.stru"), "--rounds", "3",
+        )
+        assert code == 0, err
+        report = parse_report(out)
+        assert (report["queries"], report["rounds"]) == ("4", "3")
+        assert int(report["comparisons"]) == 3 * 4 * 12
+
+    @pytest.mark.parametrize(
+        "kind, param, n, message",
+        [
+            ("sem", 4, 0, "embedding kinds differ: structural repository, other query"),
+            ("sem", 4, 2, "embedding kinds differ: structural repository, other query"),
+            ("stru", 2048, 0, "query m=2048 does not match repository m=1024"),
+            ("stru", 2048, 2, "query m=2048 does not match repository m=1024"),
+        ],
+    )
+    def test_query_file_header_is_checked_even_when_empty(
+        self, pipeline_dir, capsys, kind, param, n, message
+    ):
+        rng = np.random.default_rng(0)
+        path = pipeline_dir / f"other.{kind}"
+        ids = [f"q{i}" for i in range(n)]
+        if kind == "stru":
+            rows = [StructuralEmbedding.from_bits(rng.integers(0, 2, param)) for _ in ids]
+            save_structural(list(zip(ids, rows)), str(path), m=param)
+        else:
+            rows = [SemanticEmbedding(rng.standard_normal(param)) for _ in ids]
+            save_semantic(list(zip(ids, rows)), str(path), d=param)
+        code, out, err = run_cli(
+            capsys, "bench",
+            "--repo-emb", str(pipeline_dir / "repo.stru"), "--query-emb", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_model_file_as_queries_is_unrecognized(self, pipeline_dir, capsys):
+        code, out, err = run_cli(
+            capsys, "bench",
+            "--repo-emb", str(pipeline_dir / "repo.stru"),
+            "--query-emb", str(pipeline_dir / "model.km"),
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "unrecognized magic b'KHKM1" in err
+
 
 class TestExitCodes:
     def test_stru_without_model_is_usage_error(self, pipeline_dir, capsys):

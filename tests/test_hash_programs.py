@@ -21,7 +21,7 @@ _C = np.random.default_rng(7).standard_normal((K, D))
 MODEL = CentroidModel(_C / np.linalg.norm(_C, axis=1, keepdims=True))
 CENTROIDS = MODEL.centroids.astype(np.float64)
 HASHER = structural.FeatureHasher(m=M)
-assert np.array_equal(classify(MODEL, CENTROIDS).labels, np.arange(K))
+assert np.array_equal(classify(MODEL, CENTROIDS), np.arange(K))
 
 # With 2048 labels in 1024 buckets, collisions are common; keep a pair that
 # cancels (opposite signs) and one that reinforces (equal signs) in reach.

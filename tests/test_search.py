@@ -199,6 +199,40 @@ class TestBatchSearch:
         with pytest.raises(ConfigError):
             batch_search(repo, [random_structural(rng)], k=1, workers=0)
 
+    @pytest.mark.parametrize(
+        "kind, queries, message",
+        [
+            ("stru", np.zeros((2, 16), dtype=np.float32), "dtype float32 do not fit"),
+            ("stru", np.zeros((2, 32), dtype=np.uint64), "shape (2, 32) and dtype uint64"),
+            ("stru", np.zeros(16, dtype=np.uint64), "shape (16,) and dtype uint64"),
+            ("stru", [SemanticEmbedding(np.ones(8))],
+             "embedding kinds differ: structural repository, other query"),
+            ("stru", [np.zeros(16, dtype=np.uint64), np.zeros(8, dtype=np.uint64)],
+             "shape (1, 8) and dtype uint64"),
+            ("sem", np.zeros((2, 4), dtype=np.float32), "query d=4 does not match repository d=8"),
+            ("sem", np.zeros(8, dtype=np.float32), "shape (8,) and dtype float32"),
+            ("sem", [StructuralEmbedding.from_bits([1, 0])],
+             "embedding kinds differ: semantic repository, other query"),
+        ],
+        ids=["stru-float-rows", "stru-other-words", "stru-one-row", "stru-sem-embedding",
+             "stru-short-row-in-list", "sem-other-d", "sem-one-row",
+             "sem-stru-embedding"],
+    )
+    def test_queries_that_do_not_fit_are_one_validation_error(self, rng, kind, queries, message):
+        # m=1024 is 16 words; d=8.
+        repo = build(structural_entries(rng, 3) if kind == "stru" else semantic_entries(rng, 3))
+        for run in (lambda: batch_search(repo, queries, k=2), lambda: bench(repo, queries)):
+            with pytest.raises(ValidationError) as exc:
+                run()
+            assert message in str(exc.value)
+
+    def test_a_row_is_checked_as_a_one_row_matrix(self, rng):
+        repo = build(structural_entries(rng, 3))
+        with pytest.raises(ValidationError, match=r"shape \(1, 8\) and dtype uint64"):
+            search(repo, np.zeros(8, dtype=np.uint64), k=2)
+        with pytest.raises(ValidationError, match=r"shape \(1, 1, 16\)"):
+            search(repo, np.zeros((1, 16), dtype=np.uint64), k=2)
+
 
 class TestBench:
     def test_counts_all_comparisons(self, rng):
@@ -209,12 +243,16 @@ class TestBench:
         assert report.comparisons == 3 * 4 * 25
         assert report.seconds > 0
         assert report.per_second > 0
+        rows = np.array([emb.words for emb in queries])
+        assert bench(repo, rows, rounds=3).comparisons == 3 * 4 * 25
 
     def test_empty_inputs_rejected(self, rng):
         with pytest.raises(ValidationError):
             bench(build([]), [random_structural(rng)])
         with pytest.raises(ValidationError):
             bench(build(structural_entries(rng, 2)), [])
+        with pytest.raises(ValidationError):
+            bench(build(structural_entries(rng, 2)), np.empty((0, 16), dtype=np.uint64))
 
 
 class TestResultsFile:

@@ -58,8 +58,8 @@ def test_postings_kernel_equals_dense_kernel(case):
     words, pops = pack_rows([emb for _, emb in entries])
     postings = Postings.from_bits(*set_bits(words), m, len(words))
 
-    dense = jaccard_many(query, words, pops)
-    sparse = jaccard_many(query, postings, pops)
+    dense = jaccard_many(query.words, words, pops)
+    sparse = jaccard_many(query.words, postings, pops)
     assert dense.dtype == sparse.dtype == np.float64
     assert dense.tobytes() == sparse.tobytes()
 
@@ -97,9 +97,9 @@ def test_empty_query_scores_empty_rows_one_and_others_zero():
     entries = [("a", one), ("b", empty), ("c", one), ("d", empty)]
     repo = build(entries)
     assert isinstance(repo.rows, Postings)
-    assert repo.scores(empty).tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert repo.scores(empty.words).tolist() == [0.0, 1.0, 0.0, 1.0]
     assert [hit.program_id for hit in search(repo, empty, 3).hits] == ["b", "d", "a"]
-    assert repo.scores(full).tolist() == [1 / m, 0.0, 1 / m, 0.0]
+    assert repo.scores(full.words).tolist() == [1 / m, 0.0, 1 / m, 0.0]
 
 
 def test_density_rule_picks_postings_below_one_bit_per_word():
@@ -134,6 +134,6 @@ def test_single_row_repository():
     row = StructuralEmbedding.from_bits(np.eye(1, 2048, 7, dtype=np.uint8)[0])
     repo = build([("p", row)])
     assert isinstance(repo.rows, Postings)
-    assert repo.scores(row).tolist() == [1.0]
+    assert repo.scores(row.words).tolist() == [1.0]
     dense = StructuralIndex(["p"], row.words[np.newaxis, :], repo.pops, 2048)
     assert search(repo, row, 5).hits == search(dense, row, 5).hits

@@ -193,7 +193,7 @@ class TestJaccard:
         query = StructuralEmbedding.from_bits((rng.random(m) < 0.2).astype(np.uint8))
         words = np.stack([e.words for e in embs])
         pops = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-        fast = jaccard_many(query, words, pops)
+        fast = jaccard_many(query.words, words, pops)
         slow = np.array([jaccard(query, e) for e in embs])
         assert np.array_equal(fast, slow)
 
@@ -210,7 +210,7 @@ class TestHashProgram:
         h = FeatureHasher(m=1 << 10)
         got = hash_program(prog, model, h)
         emb = np.stack([fn.embedding for fn in prog.functions])
-        labels = set(classify(model, emb).labels.tolist())
+        labels = set(classify(model, emb).tolist())
         assert got == labels_to_bitvector(labels, h)
         assert got.popcount() <= len(prog.functions)
 
