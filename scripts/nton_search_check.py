@@ -8,8 +8,10 @@ random float32 vectors of dimension d, and m-bit sketches with a few random
 set bits each (the shape of the ``scan`` benchmark's sketches; a large
 ``--bits`` makes a dense index). For each file it then runs
 ``binsketch index-search --repo-emb F --query-emb F`` in a fresh Python
-process and prints the comparisons per second, the peak resident memory
-(``ru_maxrss``) and where the time went:
+process and prints the comparisons per second, that process's own peak
+resident memory (``VmHWM`` in ``/proc/self/status``; its ``ru_maxrss`` would
+also count the memory this script held when it started the process) and
+where the time went:
 
 * ``load``: indexing the repository and reading the queries;
 * ``scores``: the scoring kernel (GEMM blocks for ``.sem``, Jaccard per
@@ -38,7 +40,7 @@ import numpy as np
 from binsketch.corpus import SEMANTIC, STRUCTURAL, write_records
 
 CHILD = """
-import contextlib, io, resource, sys, time
+import contextlib, io, sys, time
 from binsketch import cli, search
 
 path, out, k = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -72,7 +74,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 seconds = time.perf_counter() - start
 if code:
     sys.exit(code)
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 split = " ".join(f"{stage}_s={value:.3f}" for stage, value in spent.items())
 other = seconds - sum(spent.values())
 n = len(search.load_index(path))  # after the split is taken: this load is not timed

@@ -5,9 +5,11 @@ Writes a KHSTRU1 file of many programs with a few random set bits each
 (the shape of the ``scan`` benchmark's sketches) from numpy rows through
 ``corpus.write_records``, then indexes it with
 ``binsketch.search.load_index`` in a fresh Python process and prints the
-index time, the kernel the index chose, and that process's peak resident
-memory (``ru_maxrss``). At m = 2**16 each program costs 8,208 bytes, so the
-default 50,000 programs make a 410 MB file; delete it afterwards.
+index time, the kernel the index chose, and that process's own peak
+resident memory (``VmHWM`` in ``/proc/self/status``; its ``ru_maxrss`` would
+also count the memory this script held when it started the process). At
+m = 2**16 each program costs 8,208 bytes, so the default 50,000 programs
+make a 410 MB file; delete it afterwards.
 
 Example:
     PYTHONPATH=src python3 scripts/stru_scale_check.py --out /tmp/scale.stru
@@ -23,12 +25,13 @@ import numpy as np
 from binsketch.corpus import STRUCTURAL, write_records
 
 CHILD = """
-import resource, sys, time
+import sys, time
 from binsketch.search import load_index
 start = time.perf_counter()
 index = load_index(sys.argv[1])
 seconds = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 kernel = type(index.rows).__name__
 print(f"programs={len(index)} load_index_s={seconds:.3f} kernel={kernel} peak_rss_mb={peak:.1f}")
 """

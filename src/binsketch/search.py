@@ -40,12 +40,11 @@ dense word scan, whose AND and popcount over the whole matrix release the
 GIL. The posting-list kernel makes short numpy calls that hold it, so threads
 only contend there; its queries run in order on the calling thread.
 
-An index is built from ids plus one matrix (``from_matrix``), or, for a
-sparse structural index, from the set bits of its rows (``from_set_bits``).
-:func:`load_index` learns a file's kind from the header it reads and
-reads a ``.stru`` file block by block into set bits, building the (N, words)
-matrix only for a dense index, which keeps it; :func:`build` is the adapter
-for a list of embedding objects. Both kinds score rows, which
+A structural index is built from blocks of ids and packed rows
+(``from_blocks``), a semantic one from ids plus one matrix
+(``from_matrix``); :func:`load_index` learns a file's kind from its header
+and reads the file once, and :func:`build` is the adapter for a list of
+embedding objects. Both kinds score rows, which
 :func:`query_rows` takes from the matrix a sketch file holds or from
 embeddings; :func:`check_queries` alone refuses another kind, m or d, given
 a query file's header (so even with no rows) or an embedding.
@@ -72,12 +71,11 @@ from .corpus import (
     StructuralEmbedding,
     check_field,
     numbered_lines,
-    read_records,
     write_lines,
 )
 from .errors import ConfigError, ParseError, ValidationError
 from .kmeans import unit_rows
-from .structural import Postings, jaccard_many, set_bits
+from .structural import Postings, jaccard_many, pack_bits, set_bits
 
 # About how many bytes of float64 scores one block of semantic queries
 # holds: large enough that one GEMM amortises reading the index, small
@@ -157,7 +155,7 @@ class StructuralIndex:
     """Bit-vector rows, scored by Jaccard against a packed (words,) uint64 row.
 
     ``rows`` holds either the packed (N, words) uint64 matrix or its
-    :class:`~binsketch.structural.Postings`, as :meth:`from_matrix` chose;
+    :class:`~binsketch.structural.Postings`, as :meth:`from_blocks` chose;
     ``pops`` holds the per-row popcounts.
     """
 
@@ -167,31 +165,43 @@ class StructuralIndex:
     m: int
 
     @classmethod
-    def from_matrix(cls, ids: Sequence[str], words: np.ndarray, m: int) -> "StructuralIndex":
-        """Index packed (N, words) rows, stored in ascending id order."""
-        pops = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-        # A query's postings are a subset of the index's, so with fewer set
-        # bits than packed words the sparse kernel never reads more posting
-        # entries than the dense scan reads words.
-        if pops.sum() < words.size:
-            return cls.from_set_bits(ids, pops, *set_bits(words), m)
-        ids, order = _id_order(ids)
-        if order is None:
-            return cls(ids, words, pops, m)
-        return cls(ids, words[order], pops[order], m)
-
-    @classmethod
-    def from_set_bits(
-        cls, ids: Sequence[str], pops: np.ndarray, rows: np.ndarray, positions: np.ndarray, m: int
+    def from_blocks(
+        cls, blocks: Iterable[tuple[Sequence[str], np.ndarray]], count: int, m: int
     ) -> "StructuralIndex":
-        """Index rows given by their popcounts and the (row, bit position) of
-        each set bit as posting lists, stored in ascending id order."""
+        """Index ``count`` rows of m bits given as (ids, packed (n, words) rows)
+        blocks, in ascending id order. Each block's popcounts and set bits are
+        kept until the running popcount reaches ``count`` x words; then the kept
+        bits are packed into a (count, words) matrix that later blocks are
+        copied into. Otherwise the kept bits become posting lists."""
+        width = (m + 63) // 64
+        empty = np.empty(0, dtype=np.int64)
+        ids: list[str] = []
+        pops, owners, positions = [empty], [empty], [empty]
+        total, rows = 0, None
+        for block_ids, block in blocks:
+            start = len(ids)
+            ids += block_ids
+            pops.append(np.bitwise_count(block).sum(axis=1, dtype=np.int64))
+            total += int(pops[-1].sum())
+            # Dense once the set bits reach the packed words (module docstring).
+            if rows is None and total >= count * width:
+                rows = np.zeros((count, width), dtype=np.uint64)
+                while len(owners) > 1:  # pack and drop the kept bits a block at a time
+                    pack_bits(rows, owners.pop() * (width << 6) + positions.pop())
+            if rows is None:
+                owner, position = set_bits(block)
+                owners.append(owner + start)
+                positions.append(position)
+            else:
+                rows[start:len(ids)] = block
         ids, order = _id_order(ids)
+        pops, owners = np.concatenate(pops), np.concatenate(owners)
         if order is not None:
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            rows, pops = rank[rows], pops[order]
-        return cls(ids, Postings.from_bits(rows, positions, m, len(ids)), pops, m)
+            pops, owners = pops[order], np.argsort(order)[owners]
+            rows = None if rows is None else rows[order]
+        if rows is None:
+            rows = Postings.from_bits(owners, np.concatenate(positions), m, len(ids))
+        return cls(ids, rows, pops, m)
 
     def __len__(self) -> int:
         return len(self.program_ids)
@@ -254,9 +264,9 @@ Index = StructuralIndex | SemanticIndex
 def build(entries: Sequence[Entry]) -> Index:
     """Index a list of (program_id, embedding) pairs.
 
-    The embeddings are stacked once into the matrix that ``from_matrix``
-    indexes. An empty list gives an empty index that answers every query
-    with no hits.
+    The embeddings are stacked once into one matrix: a semantic index's
+    ``from_matrix``, or the one block of ``StructuralIndex.from_blocks``. An
+    empty list gives an empty index that answers every query with no hits.
     """
     ids = [pid for pid, _ in entries]
     embeddings = [emb for _, emb in entries]
@@ -265,9 +275,9 @@ def build(entries: Sequence[Entry]) -> Index:
         ms = {emb.m for emb in embeddings}
         if len(ms) > 1:
             raise ValidationError(f"mixed bit-vector lengths in repository: {sorted(ms)}")
-        if not embeddings:
-            return StructuralIndex.from_matrix([], np.empty((0, 0), dtype=np.uint64), 0)
-        return StructuralIndex.from_matrix(ids, np.stack([e.words for e in embeddings]), ms.pop())
+        m = ms.pop() if ms else 0
+        words = np.array([e.words for e in embeddings], np.uint64).reshape(len(ids), (m + 63) // 64)
+        return StructuralIndex.from_blocks([(ids, words)], len(ids), m)
     if kinds == {SemanticEmbedding}:
         ds = {emb.d for emb in embeddings}
         if len(ds) > 1:
@@ -277,38 +287,12 @@ def build(entries: Sequence[Entry]) -> Index:
 
 
 def load_index(path: str) -> Index:
-    """Index a ``.stru`` or ``.sem`` file with no per-row objects.
-
-    A ``.sem`` file is decoded into one matrix, which the index keeps. A
-    ``.stru`` file is read in record blocks, keeping each block's popcounts
-    and set bits, and its postings are assembled once at the end. Only when
-    the running popcount sum reaches N x words, so that the index will be
-    dense and keep the packed words, is the file read again as one matrix.
-    """
+    """Index a ``.stru`` or ``.sem`` file with no per-row objects, reading it
+    once: a ``.sem`` file as one matrix, a ``.stru`` file in record blocks."""
     with RecordBlocks(path, *SKETCHES) as records:
         if records.format is SEMANTIC:
             return SemanticIndex.from_matrix(*records.read_all())
-        m = records.param
-        limit = records.count * ((m + 63) // 64)
-        ids: list[str] = []
-        pops, rows, positions = [], [], []
-        total = 0
-        for block_ids, words in records:
-            counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-            total += int(counts.sum())
-            if total >= limit:
-                break
-            row, pos = set_bits(words)
-            rows.append(row + len(ids))
-            positions.append(pos)
-            pops.append(counts)
-            ids += block_ids
-    if total < limit:
-        return StructuralIndex.from_set_bits(
-            ids, np.concatenate(pops), np.concatenate(rows), np.concatenate(positions), m
-        )
-    _, m, ids, words = read_records(path, STRUCTURAL)
-    return StructuralIndex.from_matrix(ids, words, m)
+        return StructuralIndex.from_blocks(records, records.count, records.param)
 
 
 def check_queries(repo: Index, fmt: RecordFormat | None, param: int) -> None:
@@ -327,19 +311,24 @@ def check_queries(repo: Index, fmt: RecordFormat | None, param: int) -> None:
 
 def query_rows(repo: Index, queries) -> np.ndarray:
     """The (n, width) rows that ``repo`` scores. ``queries`` is that matrix,
-    as a sketch file holds it, taken as it is once its width (and uint64
-    dtype, if structural) fits, or embeddings, each checked in order."""
+    as a sketch file holds it, taken as it is once it fits as a file's rows
+    would: its width, and if structural, uint64 with no padding bit set past
+    m, or if semantic, finite values. Or embeddings, each checked in order."""
     fmt, param = (STRUCTURAL, repo.m) if isinstance(repo, StructuralIndex) else (SEMANTIC, repo.d)
     if not isinstance(queries, np.ndarray):
         rows = [_row(repo, query) for query in queries]
         return np.array(rows, dtype=fmt.dtype).reshape(len(rows), fmt.width(param))
     if fmt is SEMANTIC and queries.ndim == 2:
         check_queries(repo, SEMANTIC, queries.shape[1])
+        if not np.isfinite(queries).all():
+            raise ValidationError("query rows have non-finite values")
     elif queries.ndim != 2 or queries.shape[1] != fmt.width(param) or queries.dtype != np.uint64:
         raise ValidationError(
             f"query rows of shape {queries.shape} and dtype {queries.dtype} do not fit "
             f"repository rows of {fmt.width(param)} {np.dtype(fmt.dtype)} values"
         )
+    elif param % 64:  # only then can a row hold bits past m, which encode refuses
+        STRUCTURAL.encode(param, queries)
     return queries
 
 

@@ -92,9 +92,16 @@ def _fold(owner: np.ndarray, labels: np.ndarray, n: int, hasher: FeatureHasher) 
     # bincount sums in float64; exact here since bucket sums stay tiny.
     cells = cells[np.bincount(inverse, weights=hasher.sign(labels)) != 0]
     words = np.zeros((n, m >> 6), dtype=np.uint64)
-    # m is a multiple of 64, so cell >> 6 indexes the flattened word matrix.
-    np.bitwise_or.at(words.reshape(-1), cells >> 6, np.uint64(1) << (cells & 63).astype(np.uint64))
+    pack_bits(words, cells)  # m = 64 x words, so a cell is a flat bit index
     return words
+
+
+def pack_bits(words: np.ndarray, cells: np.ndarray) -> None:
+    """Set bits of a C-contiguous packed (n, words) uint64 matrix at distinct
+    int64 flat indices ``row * 64 * words + position``; each must be clear."""
+    # Adding a clear bit sets it, and numpy's add.at is about twice as fast as
+    # bitwise_or.at; a flat index is faster than (row, word) pairs.
+    np.add.at(words.reshape(-1), cells >> 6, np.uint64(1) << (cells & 63).astype(np.uint64))
 
 
 def labels_to_bitvector(labels: Iterable[int], hasher: FeatureHasher) -> StructuralEmbedding:

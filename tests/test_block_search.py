@@ -31,7 +31,7 @@ from binsketch.corpus import (
     save_structural,
 )
 from binsketch.errors import ValidationError
-from binsketch.structural import set_bits
+from binsketch.structural import Postings, set_bits
 
 
 def _rows(rng, n, d, repeats, zeros):
@@ -196,9 +196,11 @@ def test_structural_batches_copy_search_in_both_index_forms(tmp_path_factory, ca
     m, ids, rows, queries, k = case
     words = np.array([row.words for row in rows], dtype=np.uint64).reshape(len(rows), m // 64)
     pops = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    sparse = search.StructuralIndex.from_set_bits(ids, pops, *set_bits(words), m)
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    dense = search.StructuralIndex(sparse.program_ids, words[order], pops[order], m)
+    words, pops = words[order], pops[order]
+    postings = Postings.from_bits(*set_bits(words), m, len(ids))
+    sparse = search.StructuralIndex([ids[i] for i in order], postings, pops, m)
+    dense = search.StructuralIndex(sparse.program_ids, words, pops, m)
     assert sparse.program_ids == sorted(ids)
     qids = [f"q{i}" for i in range(len(queries))]
     tmp = tmp_path_factory.mktemp("stru")
@@ -303,7 +305,8 @@ def _indexes(entries):
         return [index]
     words = np.array([emb.words for _, emb in sorted(entries)])
     ids, pops = index.program_ids, np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    return [search.StructuralIndex.from_set_bits(ids, pops, *set_bits(words), index.m),
+    postings = Postings.from_bits(*set_bits(words), index.m, len(ids))
+    return [search.StructuralIndex(ids, postings, pops, index.m),
             search.StructuralIndex(ids, words, pops, index.m)]
 
 

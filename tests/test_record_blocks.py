@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from binsketch import corpus
 from binsketch.cli import main
@@ -33,7 +35,7 @@ from binsketch.corpus import (
 from binsketch.errors import FormatError, ValidationError
 from binsketch.kmeans import MODEL_FORMAT, load_model
 from binsketch.search import batch_search, build, load_index
-from binsketch.structural import Postings
+from binsketch.structural import Postings, set_bits
 
 M, D = 100, 3  # m = 100 leaves four padding bits in the last payload byte
 SIZES = {"stru": (M + 7) // 8, "sem": 4 * D}
@@ -61,6 +63,12 @@ def _one_bit_rows(rng, n, m=M):
             for _ in range(n)]
 
 
+def _dense_rows(rng, n, m=M):
+    """Rows with about 60% of their bits set: the first alone makes an index dense."""
+    return [StructuralEmbedding.from_bits((rng.random(m) < 0.6).astype(np.uint8))
+            for _ in range(n)]
+
+
 @pytest.fixture
 def block_records(monkeypatch):
     """Make every block hold ``n`` records of ``payload`` bytes."""
@@ -78,6 +86,14 @@ def files(rng, tmp_path):
     values = rng.standard_normal((len(IDS), D)).astype(np.float32)
     save_semantic([(pid, SemanticEmbedding(v)) for pid, v in zip(IDS, values)], str(sem))
     return {"stru": stru, "sem": sem}
+
+
+@pytest.fixture
+def dense_file(rng, tmp_path):
+    """A .stru file of the ``files`` layout whose index is dense from its first record."""
+    path = tmp_path / "dense.stru"
+    save_structural(list(zip(IDS, _dense_rows(rng, len(IDS)))), str(path))
+    return path
 
 
 def _bad_id(kind, raw):
@@ -160,6 +176,73 @@ def test_load_index_answers_like_build(rng, tmp_path, block_records, per_block, 
         assert np.array_equal(index.pops, built.pops)
     queries = [emb for _, emb in entries]
     assert batch_search(index, queries, 5) == batch_search(built, queries, 5)
+    if kind == "stru":
+        _assert_same_rows(index.rows, built.rows)
+
+
+def _assert_same_rows(rows, expected):
+    """The same kernel over the same bytes: packed words, or postings."""
+    assert type(rows) is type(expected)
+    if isinstance(expected, Postings):
+        assert rows.n_rows == expected.n_rows
+        assert rows.offsets.tobytes() == expected.offsets.tobytes()
+        assert rows.rows.tobytes() == expected.rows.tobytes()
+    else:
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _switch_cases(draw):
+    """m, unsorted ids, (n, m) 0/1 rows whose running popcount first reaches
+    n x words at the first, a middle or the last row, or never, and whether
+    it does. Rows may be empty or repeat an earlier row."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.sampled_from([60, 64, 100, 130]))
+    width = (m + 63) // 64
+    at = draw(st.sampled_from([0, n // 2, n - 1, None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits, pops = np.zeros((n, m), dtype=np.uint8), []
+    for i in range(n):
+        if at is None or i < at:  # below n x words even if every later row is full
+            lo, hi = 0, width - (at is None and i == 0)
+        else:  # the switch row reaches n x words; rows after it are free
+            lo, hi = (n * width - sum(pops) if i == at else 0), m
+        copies = [j for j in range(i) if lo <= pops[j] <= hi]
+        if copies and draw(st.booleans()):
+            j = draw(st.sampled_from(copies))
+            bits[i], pop = bits[j], pops[j]
+        else:
+            pop = draw(st.integers(lo, hi))
+            bits[i, rng.choice(m, pop, replace=False)] = 1
+        pops.append(pop)
+    ids = [f"p{i:02d}" for i in draw(st.permutations(range(n)))]
+    return m, ids, bits, at is not None
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_switch_cases())
+def test_load_index_builds_what_build_builds_wherever_the_dense_switch_falls(
+    tmp_path_factory, case
+):
+    m, ids, bits, dense = case
+    entries = [(pid, StructuralEmbedding.from_bits(row)) for pid, row in zip(ids, bits)]
+    path = tmp_path_factory.mktemp("switch") / "repo.stru"
+    save_structural(entries, str(path))
+    words = np.array([emb.words for _, emb in sorted(entries)]).reshape(len(ids), -1)
+    expected = words if dense else Postings.from_bits(*set_bits(words), m, len(ids))
+    built = build(entries)
+    _assert_same_rows(built.rows, expected)
+    for per_block in (1, 3, len(ids)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_BLOCK_BYTES", per_block * (4 + (m + 7) // 8))
+            index = load_index(str(path))
+        assert index.program_ids == built.program_ids == sorted(ids)
+        assert index.pops.tobytes() == built.pops.tobytes()
+        assert np.array_equal(built.pops, bits.sum(axis=1)[np.argsort(ids)])
+        _assert_same_rows(index.rows, expected)
+        got, want = batch_search(index, words, 3), batch_search(built, words, 3)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
 
 
 @pytest.mark.parametrize("per_block", [1, 3])
@@ -227,6 +310,34 @@ def test_dense_switch_leaves_no_file_open(rng, tmp_path, block_records, no_open_
     save_structural(list(zip(IDS, rows)), str(path))
     block_records(1, 128)
     assert isinstance(load_index(str(path)).rows, np.ndarray)
+
+
+@pytest.mark.parametrize("kind", ["stru", "dense", "sem"])
+def test_load_index_opens_the_file_once(files, dense_file, block_records, monkeypatch, kind):
+    path = str(dense_file if kind == "dense" else files[kind])
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "open", counting_open, raising=False)
+    block_records(3, SIZES["sem" if kind == "sem" else "stru"])
+    index = load_index(path)
+    assert opened == [path]
+    assert isinstance(getattr(index, "rows", None), np.ndarray) == (kind == "dense")
+
+
+@pytest.mark.parametrize("fault, message", [case[1:] for case in FAULTS if case[0] == "stru"])
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_fault_after_the_dense_switch_gives_the_one_block_message(
+    dense_file, block_records, no_open_files, fault, message, per_block
+):
+    block_records(per_block, SIZES["stru"])
+    assert isinstance(load_index(str(dense_file)).rows, np.ndarray)
+    dense_file.write_bytes(fault("stru", dense_file.read_bytes()))
+    with pytest.raises(FormatError, match=re.escape(f"{dense_file}: {message}") + "$"):
+        load_index(str(dense_file))
 
 
 @pytest.mark.parametrize("read", READERS)

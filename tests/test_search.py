@@ -213,10 +213,13 @@ class TestBatchSearch:
             ("sem", np.zeros(8, dtype=np.float32), "shape (8,) and dtype float32"),
             ("sem", [StructuralEmbedding.from_bits([1, 0])],
              "embedding kinds differ: semantic repository, other query"),
+            ("sem", np.full((2, 8), np.nan, dtype=np.float32), "non-finite values"),
+            ("sem", np.array([[1, 0, 0, 0, 0, 0, 0, np.inf]], dtype=np.float32),
+             "non-finite values"),
         ],
         ids=["stru-float-rows", "stru-other-words", "stru-one-row", "stru-sem-embedding",
              "stru-short-row-in-list", "sem-other-d", "sem-one-row",
-             "sem-stru-embedding"],
+             "sem-stru-embedding", "sem-nan", "sem-inf"],
     )
     def test_queries_that_do_not_fit_are_one_validation_error(self, rng, kind, queries, message):
         # m=1024 is 16 words; d=8.
@@ -225,6 +228,19 @@ class TestBatchSearch:
             with pytest.raises(ValidationError) as exc:
                 run()
             assert message in str(exc.value)
+
+    @pytest.mark.parametrize("m, density", [(1000, 0.004), (100, 0.6)], ids=["sparse", "dense"])
+    def test_query_bits_past_m_are_one_validation_error(self, rng, m, density):
+        entries = [(f"p{i}", random_structural(rng, m, density)) for i in range(6)]
+        repo = build(entries)
+        assert isinstance(repo.rows, np.ndarray) == (density > 0.5)
+        query = entries[0][1].words.copy()
+        query[-1] |= np.uint64(1) << np.uint64(63)  # bit 1023 or 127: padding
+        for run in (lambda: search(repo, query, k=2), lambda: batch_search(repo, [query], k=2),
+                    lambda: batch_search(repo, query[np.newaxis], k=2),
+                    lambda: bench(repo, query[np.newaxis])):
+            with pytest.raises(ValidationError, match=f"padding bits past bit-vector length {m} "):
+                run()
 
     def test_a_row_is_checked_as_a_one_row_matrix(self, rng):
         repo = build(structural_entries(rng, 3))
