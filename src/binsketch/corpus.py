@@ -35,7 +35,8 @@ as they are read (truncation, ids that are not UTF-8, trailing bytes after
 the last record), then its payloads (padding bits, non-finite values);
 across blocks, the first error in file order is reported.
 :func:`read_records` returns the format, the parameter, the ids and every
-block's payloads decoded as one matrix.
+block's payloads decoded as one matrix. :func:`entry_rows` is the one step
+from (id, embedding) pairs to rows, for both savers and ``search.build``.
 """
 
 from __future__ import annotations
@@ -672,26 +673,35 @@ SEMANTIC = RecordFormat(
 SKETCHES = (STRUCTURAL, SEMANTIC)
 
 
-def _shared(entries: Sequence[tuple[str, object]], name: str, value: int | None) -> int:
-    """The ``name`` attribute (m or d) of every entry, or ``value`` if given."""
-    if value is None:
-        if not entries:
-            raise ValidationError(f"cannot infer {name} from an empty entry list; pass {name}")
-        value = getattr(entries[0][1], name)
+Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
+
+
+def entry_rows(
+    entries: Sequence[Entry], fmt: RecordFormat, value: int | None = None
+) -> tuple[int, np.ndarray]:
+    """The m or d of (id, embedding) pairs of ``fmt``'s kind (``value`` if
+    given, which an empty list needs) and their rows stacked into one
+    (n, width) matrix: the one step from a list of embedding objects to a
+    container's or an index's rows. An entry of another kind or another m
+    or d is refused."""
+    kind, name = (StructuralEmbedding, "m") if fmt is STRUCTURAL else (SemanticEmbedding, "d")
     for pid, emb in entries:
-        if getattr(emb, name) != value:
-            raise ValidationError(
-                f"entry {pid!r} has {name}={getattr(emb, name)}, expected {value}"
-            )
-    return value
+        if not isinstance(emb, kind):
+            raise ValidationError(f"entry {pid!r} is not a {kind.__name__}")
+        got = getattr(emb, name)
+        value = got if value is None else value
+        if got != value:
+            raise ValidationError(f"entry {pid!r} has {name}={got}, expected {value}")
+    if value is None:
+        raise ValidationError(f"cannot infer {name} from an empty entry list; pass {name}")
+    rows = [emb.words if fmt is STRUCTURAL else emb.values for _, emb in entries]
+    return value, np.array(rows, dtype=fmt.dtype).reshape(len(rows), fmt.width(value))
 
 
 def save_structural(
     entries: Sequence[tuple[str, StructuralEmbedding]], path: str, m: int | None = None
 ) -> None:
-    m = _shared(entries, "m", m)
-    words = np.array([emb.words for _, emb in entries], dtype=np.uint64)
-    words = words.reshape(len(entries), STRUCTURAL.width(m))
+    m, words = entry_rows(entries, STRUCTURAL, m)
     write_records(path, STRUCTURAL, m, [pid for pid, _ in entries], [words])
 
 
@@ -702,16 +712,12 @@ def load_structural(path: str) -> list[tuple[str, StructuralEmbedding]]:
 def save_semantic(
     entries: Sequence[tuple[str, SemanticEmbedding]], path: str, d: int | None = None
 ) -> None:
-    d = _shared(entries, "d", d)
-    values = np.array([emb.values for _, emb in entries], dtype=np.float32).reshape(len(entries), d)
+    d, values = entry_rows(entries, SEMANTIC, d)
     write_records(path, SEMANTIC, d, [pid for pid, _ in entries], [values])
 
 
 def load_semantic(path: str) -> list[tuple[str, SemanticEmbedding]]:
     return _entries(*read_records(path, SEMANTIC))
-
-
-Entry = tuple[str, StructuralEmbedding | SemanticEmbedding]
 
 
 def _entries(fmt: RecordFormat, param: int, ids: list[str], rows: np.ndarray) -> list[Entry]:

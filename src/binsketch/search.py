@@ -43,8 +43,8 @@ only contend there; its queries run in order on the calling thread.
 A structural index is built from blocks of ids and packed rows
 (``from_blocks``), a semantic one from ids plus one matrix
 (``from_matrix``); :func:`load_index` learns a file's kind from its header
-and reads the file once, and :func:`build` is the adapter for a list of
-embedding objects. Both kinds score rows, which
+and reads the file once, and :func:`build` indexes a list of embedding
+objects, stacked by ``corpus.entry_rows``. Both kinds score rows, which
 :func:`query_rows` takes from the matrix a sketch file holds or from
 embeddings; :func:`check_queries` alone refuses another kind, m or d, given
 a query file's header (so even with no rows) or an embedding.
@@ -70,6 +70,7 @@ from .corpus import (
     SemanticEmbedding,
     StructuralEmbedding,
     check_field,
+    entry_rows,
     numbered_lines,
     write_lines,
 )
@@ -264,26 +265,18 @@ Index = StructuralIndex | SemanticIndex
 def build(entries: Sequence[Entry]) -> Index:
     """Index a list of (program_id, embedding) pairs.
 
-    The embeddings are stacked once into one matrix: a semantic index's
-    ``from_matrix``, or the one block of ``StructuralIndex.from_blocks``. An
-    empty list gives an empty index that answers every query with no hits.
+    ``corpus.entry_rows`` stacks the embeddings once into one matrix: a
+    semantic index's ``from_matrix``, or the one block of
+    ``StructuralIndex.from_blocks``. An empty list gives an empty index that
+    answers every query with no hits.
     """
+    if len({type(emb) for _, emb in entries}) > 1:
+        raise ValidationError("repository entries mix structural and semantic embeddings")
     ids = [pid for pid, _ in entries]
-    embeddings = [emb for _, emb in entries]
-    kinds = {type(emb) for emb in embeddings}
-    if kinds <= {StructuralEmbedding}:
-        ms = {emb.m for emb in embeddings}
-        if len(ms) > 1:
-            raise ValidationError(f"mixed bit-vector lengths in repository: {sorted(ms)}")
-        m = ms.pop() if ms else 0
-        words = np.array([e.words for e in embeddings], np.uint64).reshape(len(ids), (m + 63) // 64)
-        return StructuralIndex.from_blocks([(ids, words)], len(ids), m)
-    if kinds == {SemanticEmbedding}:
-        ds = {emb.d for emb in embeddings}
-        if len(ds) > 1:
-            raise ValidationError(f"mixed dimensions in repository: {sorted(ds)}")
-        return SemanticIndex.from_matrix(ids, np.stack([e.values for e in embeddings]))
-    raise ValidationError("repository entries mix structural and semantic embeddings")
+    if entries and isinstance(entries[0][1], SemanticEmbedding):
+        return SemanticIndex.from_matrix(ids, entry_rows(entries, SEMANTIC)[1])
+    m, words = entry_rows(entries, STRUCTURAL, None if entries else 0)
+    return StructuralIndex.from_blocks([(ids, words)], len(ids), m)
 
 
 def load_index(path: str) -> Index:
@@ -348,7 +341,7 @@ def _row(repo: Index, query) -> np.ndarray:
 def top_k(scores: np.ndarray, k: int, set_aside_lowest: bool = True) -> np.ndarray:
     """Indices of the k highest scores, best first, ties by ascending index:
     exactly ``np.argsort(-scores, kind="stable")[:k]`` for scores without
-    NaN (both kernels give finite scores), found by selection.
+    NaN (both kernels give finite scores), found by selection; k >= 1.
 
     With ``set_aside_lowest``, rows at the lowest score are set aside first:
     they can only fill the tail, in index order. That pays for Jaccard
@@ -358,6 +351,8 @@ def top_k(scores: np.ndarray, k: int, set_aside_lowest: bool = True) -> np.ndarr
     semantic kernel skips that step: it partitions all scores and sorts the
     rows at or above the k-th best (about k of them).
     """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     if k >= scores.size:
         return np.argsort(-scores, kind="stable")
     if not set_aside_lowest:

@@ -223,8 +223,6 @@ def jaccard_many(query: np.ndarray, rows: np.ndarray | Postings, pops: np.ndarra
     scores bit for bit. ``pops`` must hold the per-row popcounts; the union
     then needs no second pass: |a|b| = |a| + |b| - |a&b|.
     """
-    if len(pops) == 0:
-        return np.empty(0, dtype=np.float64)
     if isinstance(rows, Postings):
         inter = rows.intersections(query)
     else:

@@ -9,9 +9,10 @@ share most of their functions and only the class pool tells them apart.
 
 Shared-pool functions are small (low loc, few strings) while class-pool
 functions are substantial, mirroring the observation that boilerplate is
-plentiful and tiny whereas distinctive logic is big. Instances are the
-base embedding plus isotropic Gaussian noise scaled so that ``noise`` is
-roughly the ratio of perturbation length to the unit base vector.
+plentiful and tiny whereas distinctive logic is big; each pool's ``loc``
+and ``nos`` ranges are module constants. Instances are the base embedding
+plus isotropic Gaussian noise scaled so that ``noise`` is roughly the ratio
+of perturbation length to the unit base vector.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ import numpy as np
 from .corpus import FunctionRecord, ProgramRecord
 from .errors import ConfigError
 
+# Inclusive (lo, hi) ranges of loc and nos for class-pool and shared-pool functions.
+_CLASS_LOC, _CLASS_NOS = (100, 1000), (5, 50)
+_SHARED_LOC, _SHARED_NOS = (1, 16), (0, 2)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -34,10 +39,6 @@ class SynthConfig:
     d: int = 32
     reuse: float = 0.0
     noise: float = 0.0
-    class_loc: tuple[int, int] = (100, 1000)
-    class_nos: tuple[int, int] = (5, 50)
-    shared_loc: tuple[int, int] = (1, 16)
-    shared_nos: tuple[int, int] = (0, 2)
 
     def __post_init__(self):
         if self.classes < 1:
@@ -61,10 +62,6 @@ class SynthConfig:
             )
         if not 0 <= self.noise < math.inf:
             raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
-        for name in ("class_loc", "class_nos", "shared_loc", "shared_nos"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ConfigError(f"{name} must be 0 <= lo <= hi, got ({lo}, {hi})")
 
     @property
     def shared_count(self) -> int:
@@ -139,16 +136,12 @@ def generate(cfg: SynthConfig, seed: int = 0) -> tuple[list[ProgramRecord], list
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    shared = _make_pool(
-        rng, cfg.shared_count, cfg.d, 0, cfg.shared_loc, cfg.shared_nos
-    )
+    shared = _make_pool(rng, cfg.shared_count, cfg.d, 0, _SHARED_LOC, _SHARED_NOS)
     class_size = cfg.functions_per_program - cfg.shared_count
     pools = []
     for c in range(cfg.classes):
         first = cfg.shared_count + c * class_size
-        pools.append(
-            _make_pool(rng, class_size, cfg.d, first, cfg.class_loc, cfg.class_nos)
-        )
+        pools.append(_make_pool(rng, class_size, cfg.d, first, _CLASS_LOC, _CLASS_NOS))
 
     repository = []
     queries = []
@@ -169,8 +162,3 @@ def generate(cfg: SynthConfig, seed: int = 0) -> tuple[list[ProgramRecord], list
 def class_map(programs: list[ProgramRecord]) -> dict[str, str]:
     """program_id -> class_id for every program that has a class."""
     return {p.program_id: p.class_id for p in programs if p.class_id is not None}
-
-
-def label_pool(program: ProgramRecord) -> set[int]:
-    """The set of ground-truth base labels appearing in a program."""
-    return {fn.class_label for fn in program.functions if fn.class_label is not None}

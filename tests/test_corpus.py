@@ -227,6 +227,22 @@ class TestBinaryContainers:
         with pytest.raises(ValidationError):
             save_structural(entries, str(tmp_path / "x.stru"))
 
+    @pytest.mark.parametrize("declare", [False, True])
+    @pytest.mark.parametrize("kind", ["stru", "sem"])
+    def test_entry_of_the_other_kind_rejected(self, rng, tmp_path, kind, declare):
+        stru = self._structural_entries(rng, n=1)[0][1]
+        sem = SemanticEmbedding(np.ones(3, dtype=np.float32))
+        if kind == "stru":
+            save, own, other, declared = save_structural, stru, sem, {"m": stru.m}
+        else:
+            save, own, other, declared = save_semantic, sem, stru, {"d": sem.d}
+        path = tmp_path / "x.bin"
+        for entries in ([("a", other)], [("b", own), ("a", other)]):
+            with pytest.raises(ValidationError, match="entry 'a' ") as err:
+                save(entries, str(path), **(declared if declare else {}))
+            assert "None" not in str(err.value)
+            assert not path.exists()
+
     def test_structural_truncation_detected(self, rng, tmp_path):
         path = tmp_path / "repo.stru"
         save_structural(self._structural_entries(rng), str(path))

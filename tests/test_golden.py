@@ -4,8 +4,11 @@ The binary containers and the results TSV are an on-disk contract: a
 refactor of the code behind them must not move a single byte. Each case
 also checks that loading the golden bytes and saving them again writes the
 same bytes back. The ``hash`` cases pin what both sketch modes write for a
-fixed corpus and model.
+fixed corpus and model, and the ``synth`` case what a fixed synthetic corpus
+saves to, the bytes every generated benchmark input starts from.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,12 +18,14 @@ from binsketch.corpus import (
     StructuralEmbedding,
     load_semantic,
     load_structural,
+    save_corpus,
     save_semantic,
     save_structural,
 )
 from binsketch.cli import main
 from binsketch.kmeans import CentroidModel, load_model, save_model
 from binsketch.search import SearchResult, load_results, save_results
+from binsketch.synth import SynthConfig, generate
 
 
 def _bits(m, on):
@@ -169,3 +174,21 @@ def test_hash_writes_pinned_bytes(tmp_path, capsys, mode, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == f"programs=3\nmode={mode}\n"
     assert out.read_bytes() == expected
+
+
+# SHA-256 of the repository and query corpora of SYNTH, saved with save_corpus.
+SYNTH = SynthConfig(
+    classes=3, programs_per_class=2, queries_per_class=1, functions_per_program=6, d=4,
+    reuse=0.5, noise=0.45,
+)
+SYNTH_SHA256 = {
+    "repo": "bbd04016c8897496af36bd89b27f6fc8bd402a24bbf16516426a73ff43f9afdc",
+    "query": "4d4cfd222aab6b6e3b65a5db029eba9fa59fc1f7aa7dd14ad2bd293bc8ac5e11",
+}
+
+
+def test_synth_corpora_are_pinned(tmp_path):
+    for name, programs in zip(("repo", "query"), generate(SYNTH, seed=7)):
+        path = tmp_path / f"{name}.tsv"
+        save_corpus(programs, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_SHA256[name], name

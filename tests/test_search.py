@@ -163,6 +163,13 @@ def test_top_k_equals_stable_argsort_on_distinct_and_repeated_floats(seed, n, k)
     assert top_k(scores, k, set_aside_lowest=False).tolist() == expect
 
 
+@pytest.mark.parametrize("set_aside_lowest", [True, False])
+@pytest.mark.parametrize("k", [0, -1])
+def test_top_k_refuses_k_below_one(k, set_aside_lowest):
+    with pytest.raises(ValidationError, match=f"^k must be >= 1, got {k}$"):
+        top_k(np.array([0.5, 0.0, 0.2]), k, set_aside_lowest)
+
+
 class TestTopK:
     @pytest.mark.parametrize("kind", ["structural", "semantic"])
     def test_all_zero_query_returns_lowest_ids(self, rng, kind):

@@ -8,6 +8,7 @@ from binsketch.errors import ConfigError, ValidationError
 from binsketch.kmeans import CentroidModel, classify
 from binsketch.structural import (
     FeatureHasher,
+    Postings,
     hash_program,
     jaccard,
     jaccard_many,
@@ -196,6 +197,14 @@ class TestJaccard:
         fast = jaccard_many(query.words, words, pops)
         slow = np.array([jaccard(query, e) for e in embs])
         assert np.array_equal(fast, slow)
+
+    def test_jaccard_many_of_no_rows_is_empty(self):
+        # Both kernels need no special case: the pytest settings turn a
+        # RuntimeWarning into a failure.
+        query, none = np.array([5, 0], np.uint64), np.empty(0, np.int64)
+        for rows in (np.empty((0, 2), np.uint64), Postings.from_bits(none, none, 128, 0)):
+            scores = jaccard_many(query, rows, none)
+            assert scores.dtype == np.float64 and scores.shape == (0,)
 
 
 class TestHashProgram:

@@ -6,7 +6,7 @@ import pytest
 
 from binsketch.errors import ConfigError
 from binsketch import synth
-from binsketch.synth import SynthConfig, class_map, generate, label_pool
+from binsketch.synth import SynthConfig, class_map, generate
 
 
 def small_cfg(**over):
@@ -39,7 +39,6 @@ class TestConfig:
             {"reuse": 1.5},
             {"noise": -1.0},
             {"reuse": 1.0},  # leaves no class-specific functions
-            {"class_loc": (10, 5)},
         ],
     )
     def test_invalid_configs_rejected(self, over):
@@ -103,7 +102,7 @@ class TestGenerate:
         repo, _ = generate(small_cfg(), seed=2)
         pools: dict[str, set] = {}
         for prog in repo:
-            pools.setdefault(prog.class_id, set()).update(label_pool(prog))
+            pools.setdefault(prog.class_id, set()).update(fn.class_label for fn in prog.functions)
         for a, b in combinations(pools.values(), 2):
             assert not (a & b)
 
@@ -121,7 +120,7 @@ class TestGenerate:
         for a, b in combinations(repo, 2):
             if a.class_id == b.class_id:
                 continue
-            pa, pb = label_pool(a), label_pool(b)
+            pa, pb = ({fn.class_label for fn in p.functions} for p in (a, b))
             sims.append(len(pa & pb) / len(pa | pb))
         mean_jaccard = float(np.mean(sims))
         assert mean_jaccard >= 0.7
@@ -161,10 +160,11 @@ def test_embeddings_match_one_draw_per_function(noise):
     cfg = small_cfg(noise=noise, reuse=0.25)
     repo, queries = generate(cfg, seed=9)
     rng = np.random.default_rng(9)
-    shared = synth._make_pool(rng, cfg.shared_count, cfg.d, 0, cfg.shared_loc, cfg.shared_nos)
+    shared = synth._make_pool(rng, cfg.shared_count, cfg.d, 0, synth._SHARED_LOC,
+                              synth._SHARED_NOS)
     size = cfg.functions_per_program - cfg.shared_count
-    pools = [synth._make_pool(rng, size, cfg.d, cfg.shared_count + c * size, cfg.class_loc,
-                              cfg.class_nos) for c in range(cfg.classes)]
+    pools = [synth._make_pool(rng, size, cfg.d, cfg.shared_count + c * size, synth._CLASS_LOC,
+                              synth._CLASS_NOS) for c in range(cfg.classes)]
     P, Q = cfg.programs_per_class, cfg.queries_per_class
     for c in range(cfg.classes):  # generate's order: a class's programs, then its queries
         bases = shared + pools[c]
